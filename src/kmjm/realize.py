@@ -10,6 +10,15 @@ against the root multiplicity table at every degree that gets echelonized —
 any mismatch means a bug in one of the two independent computations and is
 reported as InternalInconsistency rather than papered over.
 
+The arithmetic of the build is integer throughout.  The normal form of a
+polynomial modulo the echelon is canonical (no pivot word survives), and it is
+computed fraction-free as an integer numerator with a denominator.  Each
+degree's basis vectors are the normal forms of its first independent Lyndon
+bracketings, stored that way; the solver that writes a reduced polynomial over
+them runs on the numerators, so a Fraction appears only in the coordinates it
+returns.  The coordinates of a basis vector over the Lyndon bracketings, which
+mixed brackets need, are computed on first use.
+
 The negative part is the mirror image (the generator swap e_i -> f_i is an
 isomorphism onto the negative part, with identical structure constants), so
 it reuses the positive data.  Mixed brackets never leave the height window
@@ -66,35 +75,43 @@ Word = tuple  # tuple of 1-based generator letters
 # ---------------------------------------------------------------------------
 # free Lie algebra scaffolding: words, Lyndon words, bracket expansions
 
-def _words_with_content(content):
-    # all distinct words using letter i+1 exactly content[i] times
-    n = len(content)
-    total = sum(content)
-    out = []
-
-    def rec(prefix, counts, remaining):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for i in range(n):
-            if counts[i]:
-                counts[i] -= 1
-                prefix.append(i + 1)
-                rec(prefix, counts, remaining - 1)
-                prefix.pop()
-                counts[i] += 1
-
-    rec([], list(content), total)
-    return out
-
-
 def _is_lyndon(w):
     return all(w < w[k:] for k in range(1, len(w)))
 
 
 def lyndon_words(content):
-    """Lyndon words with the given letter content, in lex order."""
-    return [w for w in _words_with_content(content) if _is_lyndon(w)]
+    """Lyndon words with the given letter content, in lex order.
+
+    Every prefix of a Lyndon word is a prenecklace, so the words come from the
+    Fredricksen-Kessler-Maiorana recursion restricted to the content: the
+    letter at position t is at least the one at t - p, p being the period of
+    the prefix, and a complete word is Lyndon exactly when its period is its
+    length.  A Lyndon word starts with its least letter."""
+    n = len(content)
+    total = sum(content)
+    if total == 0:
+        return []
+    counts = list(content)
+    first = next(i for i in range(n) if counts[i])
+    counts[first] -= 1
+    word = [first + 1] * total
+    out = []
+
+    def rec(t, p):
+        if t == total:
+            if p == total:
+                out.append(tuple(word))
+            return
+        low = word[t - p]
+        for x in range(low, n + 1):
+            if counts[x - 1]:
+                counts[x - 1] -= 1
+                word[t] = x
+                rec(t + 1, p if x == low else t + 1)
+                counts[x - 1] += 1
+
+    rec(1, 1)
+    return out
 
 
 def _std_factorization(w):
@@ -147,6 +164,16 @@ def _lyndon_expand(w):
 # ---------------------------------------------------------------------------
 # integer echelon over word monomials
 
+def _sub_multiple(vec, c, row):
+    # vec -= c * row in place, dropping zero coefficients
+    for w, rc in row.items():
+        v = vec.get(w, 0) - c * rc
+        if v:
+            vec[w] = v
+        else:
+            vec.pop(w, None)
+
+
 def _normalize_int_row(row):
     g = 0
     for c in row.values():
@@ -183,18 +210,16 @@ class _Echelon:
                 self.rows[lead] = _normalize_int_row(row)
                 self._sorted = None
                 return True
+            # row <- (a row - b pivot) / gcd(a, b); the stored row is
+            # normalized to be primitive, so the scale does not matter
             a = pivot[lead]
             b = row[lead]
-            new = {}
-            for w, c in row.items():
-                new[w] = c * a
-            for w, c in pivot.items():
-                v = new.get(w, 0) - c * b
-                if v:
-                    new[w] = v
-                else:
-                    new.pop(w, None)
-            row = new
+            g = gcd(a, b)
+            a //= g
+            b //= g
+            if a != 1:
+                row = {w: c * a for w, c in row.items()}
+            _sub_multiple(row, b, pivot)
         return False
 
     def sorted_pivots(self):
@@ -203,71 +228,98 @@ class _Echelon:
         return self._sorted
 
     def reduce(self, poly):
-        # fully reduce a Fraction polynomial; pivots only ever introduce
-        # lex-greater words, so one ascending pass suffices
-        poly = {w: Fraction(c) for w, c in poly.items() if c}
+        """Normal form of an integer polynomial modulo the rows, fraction-free.
+
+        Returns (num, den) with poly congruent to num/den, no pivot word left
+        in num, den > 0 and gcd(content(num), den) = 1.  Pivots only ever
+        introduce lex-greater words, so one ascending pass suffices; the
+        result is unique, hence canonical."""
+        num = {w: c for w, c in poly.items() if c}
+        den = 1
+        rows = self.rows
         for piv in self.sorted_pivots():
-            c = poly.get(piv)
+            c = num.get(piv)
             if not c:
                 continue
-            row = self.rows[piv]
-            t = c / row[piv]
-            for w, rc in row.items():
-                v = poly.get(w, 0) - t * rc
-                if v:
-                    poly[w] = v
-                else:
-                    poly.pop(w, None)
-        return poly
+            row = rows[piv]
+            a = row[piv]
+            g = gcd(a, c)
+            a //= g
+            c //= g
+            if a != 1:
+                num = {w: a * v for w, v in num.items()}
+                den *= a
+            _sub_multiple(num, c, row)
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {w: v // g for w, v in num.items()}
+            den //= g
+        return num, den
 
 
 class _Solver:
-    # Fraction echelon augmented with coordinates, for expressing reduced
-    # polynomials over the chosen quotient basis
-    def __init__(self):
-        self.rows = []  # (pivot, vector, coords)
+    # integer echelon of basis numerators num_0, num_1, ..., each row
+    # (pivot, vec, coords) with vec = sum_k coords[k] num_k, kept primitive
+    # and with a positive pivot entry
+    def __init__(self, width):
+        self.width = width
+        self.rows = []
 
-    def _reduce(self, vec, coords):
+    def _reduce(self, vec):
+        # (rest, coords, s) with s * vec = rest + sum_k coords[k] num_k
+        vec = {w: c for w, c in vec.items() if c}
+        coords = [0] * self.width
+        s = 1
         for piv, rvec, rcoo in self.rows:
             c = vec.get(piv)
             if not c:
                 continue
-            t = c / rvec[piv]
-            for w, rc in rvec.items():
-                v = vec.get(w, 0) - t * rc
-                if v:
-                    vec[w] = v
-                else:
-                    vec.pop(w, None)
+            a = rvec[piv]
+            g = gcd(a, c)
+            a //= g
+            c //= g
+            if a != 1:
+                vec = {w: a * v for w, v in vec.items()}
+                coords = [a * x for x in coords]
+                s *= a
+            _sub_multiple(vec, c, rvec)
             for k, rc in enumerate(rcoo):
-                coords[k] -= t * rc
-        return vec, coords
+                if rc:
+                    coords[k] += c * rc
+        return vec, coords, s
 
-    def insert(self, vec, index, width):
-        coords = [Fraction(0)] * width
-        coords[index] = Fraction(1)
-        vec = {w: Fraction(c) for w, c in vec.items() if c}
-        vec, coords = self._reduce(vec, coords)
-        if not vec:
+    def insert(self, vec, index):
+        # adds num_index = vec; False if it lies in the span of the others
+        rest, coords, s = self._reduce(vec)
+        if not rest:
             return False
-        piv = min(vec)
-        self.rows.append((piv, vec, coords))
+        coords = [-x for x in coords]
+        coords[index] += s
+        g = gcd(*rest.values(), *coords)
+        piv = min(rest)
+        if rest[piv] < 0:
+            g = -g
+        if g != 1:
+            rest = {w: v // g for w, v in rest.items()}
+            coords = [x // g for x in coords]
+        self.rows.append((piv, rest, coords))
         self.rows.sort(key=lambda r: r[0])
         return True
 
-    def solve(self, poly, width):
-        vec = {w: Fraction(c) for w, c in poly.items() if c}
-        coords = [Fraction(0)] * width
-        vec, coords = self._reduce(vec, coords)
-        if vec:
+    def solve(self, vec):
+        # (coords, s) with vec = sum_k (coords[k] / s) num_k, or None when
+        # vec is outside the span
+        rest, coords, s = self._reduce(vec)
+        if rest:
             return None
-        return [-c for c in coords]
+        return coords, s
 
 
 def _peel_lyndon(poly):
-    # write a Lie polynomial over the Lyndon bracketings by repeatedly
-    # stripping the lex-least monomial, which must be a Lyndon word
-    rest = {w: Fraction(c) for w, c in poly.items() if c}
+    # write an integer Lie polynomial over the Lyndon bracketings by
+    # repeatedly stripping the lex-least monomial, which must be a Lyndon
+    # word; the bracketings have leading coefficient 1, so this stays integral
+    rest = {w: c for w, c in poly.items() if c}
     coords = {}
     while rest:
         lead = min(rest)
@@ -278,12 +330,7 @@ def _peel_lyndon(poly):
             )
         c = rest[lead]
         coords[lead] = c
-        for w, lc in _lyndon_expand(lead).items():
-            v = rest.get(w, 0) - c * lc
-            if v:
-                rest[w] = v
-            else:
-                rest.pop(w, None)
+        _sub_multiple(rest, c, _lyndon_expand(lead))
     return coords
 
 
@@ -384,6 +431,11 @@ class AlgElement:
 
 
 class _DegreeData:
+    # basis_reps[k] is the k-th basis vector as an integer numerator and a
+    # denominator, (num, den), num being the echelon normal form scaled to
+    # lowest terms; the solver runs on those numerators.  basis_lyndon[k]
+    # holds its coordinates over the Lyndon bracketings, filled in by the
+    # first mixed bracket that needs them (None until then).
     __slots__ = ("lyndon", "dim_free", "mult", "prop_rows", "echelon",
                  "basis_reps", "basis_lyndon", "solver", "chosen")
 
@@ -454,10 +506,10 @@ class TruncatedAlgebra:
                     degree=list(deg),
                 )
             i = deg.index(1) + 1
-            data.basis_reps = [{(i,): Fraction(1)}]
-            data.basis_lyndon = [{(i,): Fraction(1)}]
-            data.solver = _Solver()
-            data.solver.insert({(i,): 1}, 0, 1)
+            data.basis_reps = [({(i,): 1}, 1)]
+            data.basis_lyndon = [None]
+            data.solver = _Solver(1)
+            data.solver.insert({(i,): 1}, 0)
             data.chosen = [(i,)]
             data.echelon = _Echelon()
             return
@@ -516,15 +568,15 @@ class TruncatedAlgebra:
         data.prop_rows = list(ech.rows.values())
         if data.mult == 0:
             return
-        data.solver = _Solver()
+        data.solver = _Solver(data.mult)
         for w in data.lyndon:
-            red = ech.reduce(_lyndon_expand(w))
-            if not red:
+            num, den = ech.reduce(_lyndon_expand(w))
+            if not num:
                 continue
-            if data.solver.insert(red, len(data.basis_reps), data.mult):
-                data.basis_reps.append(red)
+            if data.solver.insert(num, len(data.basis_reps)):
+                data.basis_reps.append((num, den))
                 data.chosen.append(w)
-                data.basis_lyndon.append(_peel_lyndon(red))
+                data.basis_lyndon.append(None)
                 if len(data.basis_reps) == data.mult:
                     break
         if len(data.basis_reps) != data.mult:
@@ -578,23 +630,41 @@ class TruncatedAlgebra:
 
     # -- reduction to quotient coordinates ----------------------------------
 
-    def _reduce_poly(self, deg, poly):
-        """Quotient image of a positive free Lie polynomial at the degree."""
+    def _reduce_poly(self, deg, poly, den=1):
+        """Quotient image of poly / den at the degree, poly a positive free
+        Lie polynomial with integer coefficients."""
         data = self.degrees[deg]
         if data.mult == 0:
             return {}
-        if data.echelon is not None:
-            red = data.echelon.reduce(poly)
-        else:
-            red = {w: Fraction(c) for w, c in poly.items() if c}
-        coords = data.solver.solve(red, data.mult)
-        if coords is None:
+        num, nden = data.echelon.reduce(poly)
+        got = data.solver.solve(num)
+        if got is None:
             raise InternalInconsistency(
                 "reduced polynomial escaped the quotient basis "
                 f"at degree {list(deg)}",
                 degree=list(deg),
             )
-        return {("p", deg, k): c for k, c in enumerate(coords) if c}
+        coords, s = got
+        # poly / den = sum_k coords[k] num_k / (s nden den), num_k = den_k rep_k
+        scale = s * nden * den
+        reps = data.basis_reps
+        return {
+            ("p", deg, k): Fraction(c * reps[k][1], scale)
+            for k, c in enumerate(coords)
+            if c
+        }
+
+    def _lyndon_coords(self, key):
+        """Coordinates over the Lyndon bracketings of the basis vector at a
+        positive or negative key (the mirror has the same), peeled on first
+        use."""
+        data = self.degrees[key[1]]
+        got = data.basis_lyndon[key[2]]
+        if got is None:
+            num, den = data.basis_reps[key[2]]
+            got = {w: Fraction(c, den) for w, c in _peel_lyndon(num).items()}
+            data.basis_lyndon[key[2]] = got
+        return got
 
     def _pos_image(self, w):
         """Quotient image of the Lyndon bracketing of w, as an element."""
@@ -693,9 +763,9 @@ class TruncatedAlgebra:
         elif self._mult(deg) == 0:
             res = ({}, False)
         else:
-            pa = self.degrees[da].basis_reps[ak[2]]
-            pb = self.degrees[db].basis_reps[bk[2]]
-            res = (self._reduce_poly(deg, _poly_bracket(pa, pb)), False)
+            pa, den_a = self.degrees[da].basis_reps[ak[2]]
+            pb, den_b = self.degrees[db].basis_reps[bk[2]]
+            res = (self._reduce_poly(deg, _poly_bracket(pa, pb), den_a * den_b), False)
         self._pp_cache[key] = res
         rev = ({k: -v for k, v in res[0].items()}, res[1])
         self._pp_cache[(bk, ak)] = rev
@@ -724,9 +794,8 @@ class TruncatedAlgebra:
         got = self._t_cache.get(key)
         if got is not None:
             return got
-        data = self.degrees[pk[1]]
         out = self.zero()
-        for w, c in data.basis_lyndon[pk[2]].items():
+        for w, c in self._lyndon_coords(pk).items():
             out = out + c * self._t_word(j, w)
         self._t_cache[key] = out
         return out
@@ -780,10 +849,9 @@ class TruncatedAlgebra:
         got = self._pn_cache.get(key)
         if got is not None:
             return got
-        data = self.degrees[nk[1]]
         x = AlgElement(self, {pk: Fraction(1)})
         out = self.zero()
-        for w, c in data.basis_lyndon[nk[2]].items():
+        for w, c in self._lyndon_coords(nk).items():
             out = out + c * self._brk_neg_word(x, w)
         self._pn_cache[key] = out
         return out

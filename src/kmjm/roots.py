@@ -8,7 +8,9 @@ Two independent routes into the root system:
       (beta | beta - 2 rho) c_beta = sum_{b'+b''=beta} (b'|b'') c_b' c_b''
   with c_beta = sum_{k | beta} mult(beta/k)/k, processed by increasing height
   and inverted by subtracting lower terms. (rho|alpha_i) = (alpha_i|alpha_i)/2
-  gives (beta|2rho) = 2 * sum_i beta_i d_i, so everything stays rational.
+  gives (beta|2rho) = 2 * sum_i beta_i d_i, so the forms are integers, and
+  every k above divides L = lcm(1..height): the recurrence runs on the
+  integers C_beta = L c_beta, whose right-hand side is L^2 times the one above.
 
 The resulting MultTable is the membership oracle the other modules consume:
 mult(beta) = 0 exactly for non-roots, real roots have mult 1 and positive norm.
@@ -18,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add, mul
 
 from . import gcm as gcm_mod
 from .errors import (
@@ -112,10 +115,11 @@ def peterson_multiplicities(g: GCM, height: int) -> MultTable:
     n = g.n
     sym = gcm_mod.symmetrized(g)
     two_d = [2 * di for di in g.symmetrizer]
+    scale = lcm(*range(1, height + 1))
 
     levels = _positive_vectors_by_height(n, height)
-    # c-values, kept only when nonzero; forms computed with int dot products
-    c: dict[tuple[int, ...], Fraction] = {}
+    # scaled c-values C = scale * c (scale is L above), kept only when nonzero
+    c: dict[tuple[int, ...], int] = {}
     mult: dict[RootVec, int] = {}
     sym_image: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -128,7 +132,7 @@ def peterson_multiplicities(g: GCM, height: int) -> MultTable:
 
     for i in range(1, n + 1):
         a = simple_root(n, i)
-        c[a.coeffs] = Fraction(1)
+        c[a.coeffs] = scale
         mult[a] = 1
 
     # rhs[beta] accumulated by convolving lower levels of nonzero c
@@ -137,33 +141,34 @@ def peterson_multiplicities(g: GCM, height: int) -> MultTable:
         live_by_height[1].append(simple_root(n, i).coeffs)
 
     for h in range(2, height + 1):
-        rhs: dict[tuple[int, ...], Fraction] = {}
+        rhs: dict[tuple[int, ...], int] = {}
         for h1 in range(1, h):
             h2 = h - h1
             if h2 < h1:
                 break
             for b1 in live_by_height[h1]:
                 s1 = s_dot(b1)
+                c1 = c[b1]
                 for b2 in live_by_height[h2]:
                     if h1 == h2 and b2 < b1:
                         continue
-                    pairing = sum(s1[j] * b2[j] for j in range(n))
+                    pairing = sum(map(mul, s1, b2))
                     if pairing == 0:
                         continue
-                    term = pairing * c[b1] * c[b2]
+                    term = pairing * c1 * c[b2]
                     if h1 != h2 or b1 != b2:
                         term *= 2  # both orderings
-                    key = tuple(x + y for x, y in zip(b1, b2))
-                    rhs[key] = rhs.get(key, Fraction(0)) + term
+                    key = tuple(map(add, b1, b2))
+                    rhs[key] = rhs.get(key, 0) + term
         for v in levels[h]:
-            r = rhs.get(v, Fraction(0))
-            # contribution of proper divisors to the c-value at v
-            divpart = Fraction(0)
+            r = rhs.get(v, 0)
+            # contribution of proper divisors to the scaled c-value at v
+            divpart = 0
             gv = gcd(*v)
             for k in range(2, gv + 1):
                 if gv % k == 0:
                     sub = RootVec(tuple(x // k for x in v))
-                    divpart += Fraction(mult.get(sub, 0), k)
+                    divpart += mult.get(sub, 0) * (scale // k)
             if r == 0 and divpart == 0:
                 continue
             denom = sum(s_dot(v)[j] * v[j] for j in range(n)) - sum(
@@ -180,18 +185,20 @@ def peterson_multiplicities(g: GCM, height: int) -> MultTable:
                         f"at beta = {list(v)}",
                         beta=list(v),
                     )
-                cv = divpart
+                cv, rem = divpart, 0
             else:
-                cv = r / denom
+                cv, rem = divmod(r, scale * denom)
             # invert c into mult: strip the divisor contributions
-            m = cv - divpart
-            if m != 0:
-                if m.denominator != 1 or m < 0:
-                    raise InternalInconsistency(
-                        f"multiplicity of {list(v)} came out {m}", beta=list(v)
-                    )
-                mult[RootVec(v)] = int(m)
-            if cv != 0:
+            m, rem_m = divmod(cv - divpart, scale)
+            if rem or rem_m or m < 0:
+                scaled = Fraction(r, scale * denom) if rem else Fraction(cv)
+                raise InternalInconsistency(
+                    f"multiplicity of {list(v)} came out {(scaled - divpart) / scale}",
+                    beta=list(v),
+                )
+            if m:
+                mult[RootVec(v)] = m
+            if cv:
                 c[v] = cv
                 live_by_height[h].append(v)
     return MultTable(g, height, mult)

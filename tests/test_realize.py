@@ -1,11 +1,18 @@
+import hashlib
+import itertools
+import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import A2, A1_AFFINE, H3, H32, H51
+from conftest import A2, A1_AFFINE, A2_AFFINE, H3, H32, H51
 from kmjm import (
     HeightOutOfRange,
+    InternalInconsistency,
     NotRealRoot,
     ResourceCap,
     TruncationAmbiguous,
@@ -18,6 +25,7 @@ from kmjm import (
     simple_reflection,
     validate_gcm,
 )
+from kmjm.realize import _Echelon, _Solver, _lyndon_expand, _peel_lyndon, lyndon_words
 from kmjm.roots import coroot_coords
 
 
@@ -212,3 +220,139 @@ def test_build_argument_validation():
         build_truncated(g, 4, mode="sloppy")
     with pytest.raises(ValueError):
         build_truncated(g, 0)
+
+
+WILD3 = [[2, -4, -4], [-4, 2, -4], [-4, -4, 2]]
+
+
+def _structure_digest(alg):
+    # the chosen Lyndon words per degree, then every [p, p] bracket of basis
+    # vectors inside the window and every [p, f_j], in a fixed order
+    out = hashlib.sha256()
+    degs = sorted(alg.degrees, key=lambda d: (sum(d), d))
+    basis = []
+    for deg in degs:
+        out.update(repr((deg, alg.degrees[deg].chosen)).encode())
+        basis.extend((sum(deg), x) for x in alg.positive_basis(rootvec(deg)))
+    for ha, x in basis:
+        for hb, y in basis:
+            if ha + hb <= alg.height:
+                out.update(json.dumps(alg.bracket(x, y).to_serial()).encode())
+        for j in range(1, alg.gcm.n + 1):
+            out.update(json.dumps(alg.bracket(x, alg.f(j)).to_serial()).encode())
+    return out.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "matrix, height, mode, digest",
+    [
+        (A2, 8, "strict",
+         "e0479bca1a17dffc708c2b7a0850b5cfa3a03789b77508cf6b6d9de390ae437f"),
+        (H3, 8, "fast",
+         "648b65daba2df065d13d69a3021336277e4313828a856f9236634bdcea6304bc"),
+        (A2_AFFINE, 7, "fast",
+         "0b6ec5bae154aa497cef578dd50147d6a8b414735b01c47c996c637b69e235df"),
+        (WILD3, 5, "fast",
+         "0b591772eeca9a99ce71c231506f6dd386416a6c3dcf90ca445bd0d7559acf2e"),
+    ],
+)
+def test_pinned_basis_and_structure_constants(matrix, height, mode, digest):
+    # recorded from the Fraction build before it moved to integer kernels:
+    # the same basis and the same structure constants, bit for bit
+    alg = build_truncated(validate_gcm(matrix), height, mode=mode)
+    assert _structure_digest(alg) == digest
+
+
+_WORDS = [w for k in (2, 3) for w in itertools.product((1, 2, 3), repeat=k)]
+_coeffs = st.integers(-6, -1) | st.integers(1, 6)
+_polys = st.dictionaries(st.sampled_from(_WORDS), _coeffs, max_size=6)
+
+
+def _reference_normal_form(rows, poly):
+    # reduced row echelon form over Fraction with lex-least pivots: every
+    # row is 1 at its own pivot and 0 at all the others
+    basis = []
+    for row in rows:
+        r = {w: Fraction(c) for w, c in row.items() if c}
+        for b in basis:
+            _axpy(r, -r.get(min(b), 0), b)
+        if not r:
+            continue
+        r = {w: c / r[min(r)] for w, c in r.items()}
+        for b in basis:
+            _axpy(b, -b.get(min(r), 0), r)
+        basis.append(r)
+    nf = {w: Fraction(c) for w, c in poly.items() if c}
+    for b in basis:
+        _axpy(nf, -nf.get(min(b), 0), b)
+    return nf, len(basis)
+
+
+def _axpy(y, a, x):
+    for w, c in x.items():
+        v = y.get(w, 0) + a * c
+        if v:
+            y[w] = v
+        else:
+            y.pop(w, None)
+
+
+@given(st.lists(_polys, max_size=8), _polys)
+def test_echelon_normal_form_matches_fraction_reference(rows, poly):
+    ech = _Echelon()
+    for row in rows:
+        if row:
+            ech.insert(row)
+    num, den = ech.reduce(poly)
+    want, rank = _reference_normal_form(rows, poly)
+    assert ech.rank == rank
+    assert {w: Fraction(c, den) for w, c in num.items()} == want
+    assert den > 0 and gcd(den, *num.values()) == 1
+    assert not set(num) & set(ech.rows)
+
+
+@given(st.lists(_polys, max_size=6), st.lists(st.integers(-5, 5), min_size=6, max_size=6))
+def test_solver_coordinates_and_span(vecs, xs):
+    solver = _Solver(len(vecs))
+    kept = []
+    for v in vecs:
+        outside = solver.solve(v) is None
+        assert solver.insert(v, len(kept)) == outside
+        if outside:
+            kept.append(v)
+    target = {}
+    for x, v in zip(xs, kept):
+        _axpy(target, x, v)
+    coords, s = solver.solve(target)
+    back = {}
+    for c, v in zip(coords, kept):
+        _axpy(back, Fraction(c, s), v)
+    assert back == target
+    assert coords[len(kept):] == [0] * (len(vecs) - len(kept))
+    # a word no vector uses takes the target out of the span
+    assert solver.solve({**target, (4, 4): 1}) is None
+
+
+def test_escaped_quotient_basis_still_raises(algebra):
+    # a word polynomial that is not a Lie element has no quotient image
+    alg = algebra(A2, 4)
+    with pytest.raises(InternalInconsistency, match="escaped the quotient basis"):
+        alg._reduce_poly((1, 1), {(2, 1): 1})
+
+
+def test_peel_lyndon():
+    w = (1, 1, 2, 1, 2)
+    assert _peel_lyndon({k: 3 * c for k, c in _lyndon_expand(w).items()}) == {w: 3}
+    with pytest.raises(InternalInconsistency, match="leading word is not Lyndon"):
+        _peel_lyndon({(2, 1): 1})
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(lambda c: 0 < sum(c) <= 8))
+def test_lyndon_words_match_definition(content):
+    # against the definition: strictly less than every proper rotation
+    letters = [i + 1 for i, k in enumerate(content) for _ in range(k)]
+    want = sorted(
+        w for w in set(itertools.permutations(letters))
+        if all(w < w[k:] + w[:k] for k in range(1, len(w)))
+    )
+    assert lyndon_words(content) == want
