@@ -151,7 +151,7 @@ def _resolve(args) -> RunConfig:
         if not isinstance(cfg, dict):
             raise UsageError("config file must hold a JSON object")
     seed = args.seed if args.seed is not None else int(cfg.get("seed", _DEFAULT_SEED))
-    cap = args.cap if args.cap is not None else cfg.get("cap")
+    cap = args.cap if args.cap is not None else _config_int(cfg, "cap")
     if cap is None:
         env = os.environ.get("KMJM_CAP")
         if env:
@@ -162,9 +162,15 @@ def _resolve(args) -> RunConfig:
     fmt = args.fmt or cfg.get("format", "json")
     if fmt not in ("json", "tsv"):
         raise UsageError(f"format must be json or tsv, got {fmt!r}")
-    height_default = cfg.get("height")
     return RunConfig(seed=seed, cap=cap, fmt=fmt,
-                     height_default=None if height_default is None else int(height_default))
+                     height_default=_config_int(cfg, "height"))
+
+
+def _config_int(cfg, key):
+    val = cfg.get(key)
+    if val is not None and (isinstance(val, bool) or not isinstance(val, int)):
+        raise UsageError(f"config {key} must be an integer, got {val!r}")
+    return val
 
 
 def _load_gcm(args):

@@ -16,19 +16,29 @@ computed fraction-free as an integer numerator with a denominator.  Each
 degree's basis vectors are the normal forms of its first independent Lyndon
 bracketings, stored that way; the solver that writes a reduced polynomial over
 them runs on the numerators, so a Fraction appears only in the coordinates it
-returns.  The coordinates of a basis vector over the Lyndon bracketings, which
-mixed brackets need, are computed on first use.
+returns.
 
 The negative part is the mirror image (the generator swap e_i -> f_i is an
 isomorphism onto the negative part, with identical structure constants), so
 it reuses the positive data.  Mixed brackets never leave the height window
-and are computed exactly by a derivation recursion over the Lyndon structure
-of the negative factor.  Products of two positive (or two negative) elements
-whose total height exceeds the bound are cut to zero: the truncation is the
-quotient by the ideal of heights above the bound, and every identity holds
-as long as all intermediate degrees stay inside the window.  Operations that
-must distinguish genuine vanishing from the cut (exponentials, nilpotency
-checks) track that and raise TruncationAmbiguous instead of guessing.
+and are computed in quotient coordinates, memoized per pair of basis vectors.
+On first use, every basis vector of a degree of height at least two is
+written as p = sum_i [e_i, y_i] with y_i one step down, by one exact
+elimination over the brackets [e_i, b] of the generators with the basis
+below.  The lowering operator then follows from
+[p, f_j] = sum_i [e_i, [y_i, f_j]] + [h_j, y_j], and the mirror
+n = sum_i [f_i, y_i'] turns [x, n] into sum_i [[x, f_i], y_i'] +
+[f_i, [x, y_i']]: brackets of basis vectors in lower degrees.  Every basis
+vector is the image of its chosen Lyndon bracketing, so a bracket of two basis
+vectors is one exact value whichever of these identities computes it.
+
+Products of two positive (or two negative) elements whose total height
+exceeds the bound are cut to zero: the truncation is the quotient by the
+ideal of heights above the bound, and every identity holds as long as all
+intermediate degrees stay inside the window.  Mixed brackets never meet the
+cut.  Operations that must distinguish genuine vanishing from the cut
+(exponentials, nilpotency checks) track that and raise TruncationAmbiguous
+instead of guessing.
 
 Degrees with multiplicity zero are dead: anything landing there is zero in
 the quotient, and the ideal fills the whole free piece.  "fast" mode trusts
@@ -69,15 +79,9 @@ __all__ = [
 
 DEFAULT_CAP = 20000
 
-Word = tuple  # tuple of 1-based generator letters
-
 
 # ---------------------------------------------------------------------------
 # free Lie algebra scaffolding: words, Lyndon words, bracket expansions
-
-def _is_lyndon(w):
-    return all(w < w[k:] for k in range(1, len(w)))
-
 
 def lyndon_words(content):
     """Lyndon words with the given letter content, in lex order.
@@ -315,25 +319,6 @@ class _Solver:
         return coords, s
 
 
-def _peel_lyndon(poly):
-    # write an integer Lie polynomial over the Lyndon bracketings by
-    # repeatedly stripping the lex-least monomial, which must be a Lyndon
-    # word; the bracketings have leading coefficient 1, so this stays integral
-    rest = {w: c for w, c in poly.items() if c}
-    coords = {}
-    while rest:
-        lead = min(rest)
-        if not _is_lyndon(lead):
-            raise InternalInconsistency(
-                "polynomial is not a Lie element: leading word is not Lyndon",
-                word=list(lead),
-            )
-        c = rest[lead]
-        coords[lead] = c
-        _sub_multiple(rest, c, _lyndon_expand(lead))
-    return coords
-
-
 # ---------------------------------------------------------------------------
 # elements
 
@@ -433,11 +418,12 @@ class AlgElement:
 class _DegreeData:
     # basis_reps[k] is the k-th basis vector as an integer numerator and a
     # denominator, (num, den), num being the echelon normal form scaled to
-    # lowest terms; the solver runs on those numerators.  basis_lyndon[k]
-    # holds its coordinates over the Lyndon bracketings, filled in by the
-    # first mixed bracket that needs them (None until then).
+    # lowest terms; the solver runs on those numerators.  decomp[k] writes
+    # the k-th basis vector as sum_i [e_i, y_i], a list of (i, y_i) with y_i
+    # an element one step down; built by the first mixed bracket that needs
+    # it (None until then, and at height one).
     __slots__ = ("lyndon", "dim_free", "mult", "prop_rows", "echelon",
-                 "basis_reps", "basis_lyndon", "solver", "chosen")
+                 "basis_reps", "decomp", "solver", "chosen")
 
     def __init__(self):
         self.lyndon = []
@@ -446,7 +432,7 @@ class _DegreeData:
         self.prop_rows = []
         self.echelon = None
         self.basis_reps = []
-        self.basis_lyndon = []
+        self.decomp = None
         self.solver = None
         self.chosen = []
 
@@ -464,7 +450,6 @@ class TruncatedAlgebra:
         self._pp_cache: dict = {}
         self._pn_cache: dict = {}
         self._t_cache: dict = {}
-        self._pos_image_cache: dict = {}
         self._build()
 
     # -- construction -----------------------------------------------------
@@ -507,7 +492,6 @@ class TruncatedAlgebra:
                 )
             i = deg.index(1) + 1
             data.basis_reps = [({(i,): 1}, 1)]
-            data.basis_lyndon = [None]
             data.solver = _Solver(1)
             data.solver.insert({(i,): 1}, 0)
             data.chosen = [(i,)]
@@ -576,7 +560,6 @@ class TruncatedAlgebra:
             if data.solver.insert(num, len(data.basis_reps)):
                 data.basis_reps.append((num, den))
                 data.chosen.append(w)
-                data.basis_lyndon.append(None)
                 if len(data.basis_reps) == data.mult:
                     break
         if len(data.basis_reps) != data.mult:
@@ -653,27 +636,6 @@ class TruncatedAlgebra:
             for k, c in enumerate(coords)
             if c
         }
-
-    def _lyndon_coords(self, key):
-        """Coordinates over the Lyndon bracketings of the basis vector at a
-        positive or negative key (the mirror has the same), peeled on first
-        use."""
-        data = self.degrees[key[1]]
-        got = data.basis_lyndon[key[2]]
-        if got is None:
-            num, den = data.basis_reps[key[2]]
-            got = {w: Fraction(c, den) for w, c in _peel_lyndon(num).items()}
-            data.basis_lyndon[key[2]] = got
-        return got
-
-    def _pos_image(self, w):
-        """Quotient image of the Lyndon bracketing of w, as an element."""
-        got = self._pos_image_cache.get(w)
-        if got is None:
-            deg = tuple(w.count(i + 1) for i in range(self.gcm.n))
-            got = AlgElement(self, self._reduce_poly(deg, _lyndon_expand(w)))
-            self._pos_image_cache[w] = got
-        return got
 
     def _mirror_elt(self, x: AlgElement) -> AlgElement:
         out = {}
@@ -771,90 +733,105 @@ class TruncatedAlgebra:
         self._pp_cache[(bk, ak)] = rev
         return res
 
-    def _t_word(self, j, w):
-        # [image of the Lyndon bracketing of w, f_j]
-        key = (j, w)
-        got = self._t_cache.get(key)
-        if got is not None:
-            return got
-        if len(w) == 1:
-            out = self.h(w[0]) if w[0] == j else self.zero()
-        else:
-            u, v = _std_factorization(w)
-            out = (
-                self.bracket(self._pos_image(u), self._t_word(j, v))
-                - self.bracket(self._pos_image(v), self._t_word(j, u))
+    def _decomposition(self, deg):
+        """Per basis vector at deg (height at least two), the list of (i, y_i)
+        with y_i at deg - alpha_i and the vector equal to sum_i [e_i, y_i]:
+        one Gauss-Jordan pass over the quotient coordinates of the candidates
+        [e_i, b], b over the basis below."""
+        data = self.degrees[deg]
+        if data.decomp is not None:
+            return data.decomp
+        n = self.gcm.n
+        rows = {}  # pivot key -> (coordinates, combination of candidates)
+        for i in range(n):
+            if not deg[i] or len(rows) == data.mult:
+                continue
+            gen = ("p", tuple(1 if t == i else 0 for t in range(n)), 0)
+            lower = tuple(deg[t] - (1 if t == i else 0) for t in range(n))
+            for k in range(self.degrees[lower].mult):
+                b = ("p", lower, k)
+                vec = dict(self._pp(gen, b)[0])
+                comb = {(i + 1, b): Fraction(1)}
+                for piv, (rvec, rcomb) in rows.items():
+                    c = vec.get(piv)
+                    if c:
+                        _sub_multiple(vec, c, rvec)
+                        _sub_multiple(comb, c, rcomb)
+                if not vec:
+                    continue
+                piv = min(vec)
+                c = vec[piv]
+                vec = {key: v / c for key, v in vec.items()}
+                comb = {key: v / c for key, v in comb.items()}
+                for rvec, rcomb in rows.values():
+                    c = rvec.get(piv)
+                    if c:
+                        _sub_multiple(rvec, c, vec)
+                        _sub_multiple(rcomb, c, comb)
+                rows[piv] = (vec, comb)
+                if len(rows) == data.mult:
+                    break
+        if len(rows) != data.mult:
+            raise InternalInconsistency(
+                "brackets of the generators with the basis below do not span "
+                f"degree {list(deg)}: rank {len(rows)}, multiplicity {data.mult}",
+                degree=list(deg),
+                rank=len(rows),
+                expected=data.mult,
             )
-        self._t_cache[key] = out
-        return out
+        data.decomp = []
+        for k in range(data.mult):
+            parts: dict = {}
+            for (i, b), c in rows[("p", deg, k)][1].items():
+                parts.setdefault(i, {})[b] = c
+            data.decomp.append([(i, AlgElement(self, y)) for i, y in sorted(parts.items())])
+        return data.decomp
 
     def _t_basis(self, pk, j):
-        # [p-basis vector, f_j]
+        # [p-basis vector, f_j]; with p = sum_i [e_i, y_i],
+        # [[e_i, y], f_j] = [e_i, [y, f_j]] + delta_ij [h_i, y]
         key = (pk, j)
         got = self._t_cache.get(key)
         if got is not None:
             return got
-        out = self.zero()
-        for w, c in self._lyndon_coords(pk).items():
-            out = out + c * self._t_word(j, w)
+        deg = pk[1]
+        if sum(deg) == 1:
+            out = self.h(j) if deg[j - 1] else self.zero()
+        else:
+            br = self._br
+            fj = self.f(j)
+            out = self.zero()
+            for i, y in self._decomposition(deg)[pk[2]]:
+                out = out + br(self.e(i), br(y, fj))
+                if i == j:
+                    out = out + br(self.h(i), y)
         self._t_cache[key] = out
         return out
 
-    def _brk_neg_word(self, x: AlgElement, w):
-        # [x, image of the negative Lyndon bracketing of w], any x
-        if x.is_zero():
-            return x
-        if len(w) == 1:
-            j = w[0]
-            acc: dict = {}
-            A = self.gcm.entries
-            for k, c in x.terms.items():
-                if k[0] == "h":
-                    # [h_i, f_j] = -A_ij f_j
-                    val = A[k[1] - 1][j - 1]
-                    if val:
-                        deg = tuple(1 if t == j - 1 else 0 for t in range(self.gcm.n))
-                        nk = ("n", deg, 0)
-                        s = acc.get(nk, 0) - c * val
-                        if s:
-                            acc[nk] = s
-                        else:
-                            acc.pop(nk, None)
-                elif k[0] == "p":
-                    for tk, tv in self._t_basis(k, j).terms.items():
-                        s = acc.get(tk, 0) + c * tv
-                        if s:
-                            acc[tk] = s
-                        else:
-                            acc.pop(tk, None)
-                else:
-                    deg = tuple(1 if t == j - 1 else 0 for t in range(self.gcm.n))
-                    terms, _ = self._pp(("p",) + k[1:], ("p", deg, 0))
-                    for pk2, v in terms.items():
-                        nk = ("n",) + pk2[1:]
-                        s = acc.get(nk, 0) + c * v
-                        if s:
-                            acc[nk] = s
-                        else:
-                            acc.pop(nk, None)
-            return AlgElement(self, acc)
-        u, v = _std_factorization(w)
-        # [x, [n(u), n(v)]] = [[x, n(u)], n(v)] + [n(u), [x, n(v)]]
-        first = self._brk_neg_word(self._brk_neg_word(x, u), v)
-        second = self._brk_neg_word(self._brk_neg_word(x, v), u)
-        return first - second
-
     def _pn(self, pk, nk):
+        # [p-basis vector x, n-basis vector]; with n = sum_i [f_i, z_i], z_i
+        # the mirror of y_i, [x, [f_i, z]] = [[x, f_i], z] + [f_i, [x, z]]
         key = (pk, nk)
         got = self._pn_cache.get(key)
         if got is not None:
             return got
-        x = AlgElement(self, {pk: Fraction(1)})
-        out = self.zero()
-        for w, c in self._lyndon_coords(nk).items():
-            out = out + c * self._brk_neg_word(x, w)
+        deg = nk[1]
+        if sum(deg) == 1:
+            out = self._t_basis(pk, deg.index(1) + 1)
+        else:
+            br = self._br
+            x = AlgElement(self, {pk: Fraction(1)})
+            out = self.zero()
+            for i, y in self._decomposition(deg)[nk[2]]:
+                z = self._mirror_elt(y)
+                out = out + br(self._t_basis(pk, i), z) + br(self.f(i), br(x, z))
         self._pn_cache[key] = out
         return out
+
+    def _br(self, x, y):
+        # the recursion's own brackets stay off the public method, so that a
+        # wrapper around bracket sees only the calls made from outside
+        return self._bracket_checked(x, y)[0]
 
 
 # ---------------------------------------------------------------------------

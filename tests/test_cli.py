@@ -262,6 +262,19 @@ def test_config_file_defaults(capsys, tmp_path):
     assert "seed=9" in err.splitlines()[0]
 
 
+def test_config_values_must_be_integers(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    for bad in ({"cap": "abc"}, {"cap": 2.5}, {"cap": True}, {"height": "4"}):
+        cfg.write_text(json.dumps(bad))
+        code, out, err = run(
+            capsys, "realize", "--gcm-inline", A2_INLINE, "--height", "3",
+            "--dims", "--config", str(cfg),
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].startswith("kmjm: error: config ")
+        assert "Traceback" not in err
+
+
 def test_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("KMJM_CAP", "10")
     code, _, err = run(

@@ -25,7 +25,7 @@ from kmjm import (
     simple_reflection,
     validate_gcm,
 )
-from kmjm.realize import _Echelon, _Solver, _lyndon_expand, _peel_lyndon, lyndon_words
+from kmjm.realize import _Echelon, _Solver, lyndon_words
 from kmjm.roots import coroot_coords
 
 
@@ -85,16 +85,28 @@ def test_seeded_jacobi(algebra):
         assert alg.bracket(x, y) == -alg.bracket(y, x)
 
 
+def _bases(alg):
+    # positive and negative basis vectors, by height then degree
+    degs = sorted(alg.degrees, key=lambda d: (sum(d), d))
+    pos = [x for d in degs for x in alg.positive_basis(rootvec(d))]
+    neg = [y for d in degs for y in alg.negative_basis(rootvec(d))]
+    return pos, neg
+
+
 def test_strict_matches_fast():
     g = validate_gcm(H3)
     strict = build_truncated(g, 5, mode="strict")
     fast = build_truncated(g, 5, mode="fast")
     assert strict.dim == fast.dim
-    for alg_pair in ((strict, fast),):
-        a, b = alg_pair
-        lhs = a.bracket(a.e(1), a.bracket(a.e(1), a.e(2)))
-        rhs = b.bracket(b.e(1), b.bracket(b.e(1), b.e(2)))
-        assert lhs.to_serial() == rhs.to_serial()
+    assert set(strict.degrees) == set(fast.degrees)
+    for deg in strict.degrees:
+        assert strict.degrees[deg].chosen == fast.degrees[deg].chosen
+
+    def tables(alg):
+        pos, neg = _bases(alg)
+        return [alg.bracket(x, y).to_serial() for x in pos for y in pos + neg]
+
+    assert tables(strict) == tables(fast)
 
 
 def test_exp_ad_edge_cases(algebra):
@@ -333,18 +345,52 @@ def test_solver_coordinates_and_span(vecs, xs):
     assert solver.solve({**target, (4, 4): 1}) is None
 
 
+def _mixed_digest(alg):
+    # every [p_a, n_b] over the positive and negative bases, in a fixed order
+    out = hashlib.sha256()
+    pos, neg = _bases(alg)
+    for x in pos:
+        for y in neg:
+            out.update(json.dumps(alg.bracket(x, y).to_serial()).encode())
+    return out.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "matrix, height, mode, digest",
+    [
+        (H3, 8, "fast",
+         "22d34529d637761d657219ddc6b47badaa089522ba1a7f8bc633cf99b2a23ade"),
+        (A2_AFFINE, 7, "fast",
+         "00b78502d47fcb1ade52607a7a15f29277cedc91274828f754d500cb7bcda6fc"),
+        (WILD3, 5, "fast",
+         "61a38f997fc168729707c31a0c5cbe85304576dfb9da4d512fe8e2947665496d"),
+        (A2, 4, "strict",
+         "2830a3b0f7197c5dfdf4ff2a745d6bfbe7502ca12b33afe05b15c837da084699"),
+    ],
+)
+def test_pinned_mixed_brackets(matrix, height, mode, digest):
+    # recorded from the Lyndon-word derivation route for [p, n] before the
+    # generator decomposition replaced it: the same mixed brackets, exactly
+    alg = build_truncated(validate_gcm(matrix), height, mode=mode)
+    assert _mixed_digest(alg) == digest
+
+
+def test_decomposition_needs_spanning_candidates(monkeypatch):
+    # if the brackets [e_i, b] of the generators with the basis below do not
+    # span a degree, no mixed bracket can be computed there
+    alg = build_truncated(validate_gcm(A2), 3, mode="fast")
+    monkeypatch.setattr(alg, "_pp", lambda ak, bk: ({}, False))
+    p = alg.positive_basis(rootvec((1, 1)))[0]
+    with pytest.raises(InternalInconsistency, match="do not span") as err:
+        alg.bracket(p, alg.f(1))
+    assert err.value.context["degree"] == [1, 1]
+
+
 def test_escaped_quotient_basis_still_raises(algebra):
     # a word polynomial that is not a Lie element has no quotient image
     alg = algebra(A2, 4)
     with pytest.raises(InternalInconsistency, match="escaped the quotient basis"):
         alg._reduce_poly((1, 1), {(2, 1): 1})
-
-
-def test_peel_lyndon():
-    w = (1, 1, 2, 1, 2)
-    assert _peel_lyndon({k: 3 * c for k, c in _lyndon_expand(w).items()}) == {w: 3}
-    with pytest.raises(InternalInconsistency, match="leading word is not Lyndon"):
-        _peel_lyndon({(2, 1): 1})
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(lambda c: 0 < sum(c) <= 8))
