@@ -150,7 +150,9 @@ def _resolve(args) -> RunConfig:
             raise UsageError(f"cannot read config file {args.config}: {err}")
         if not isinstance(cfg, dict):
             raise UsageError("config file must hold a JSON object")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", _DEFAULT_SEED))
+    seed = args.seed if args.seed is not None else _config_int(cfg, "seed")
+    if seed is None:
+        seed = _DEFAULT_SEED
     cap = args.cap if args.cap is not None else _config_int(cfg, "cap")
     if cap is None:
         env = os.environ.get("KMJM_CAP")

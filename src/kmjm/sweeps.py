@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product
 
 from ._linalg import det_exact
-from .errors import HeightOutOfRange, KmjmError, SingularB
+from .errors import HeightOutOfRange, KmjmError, NotReduced, SingularB
 from .gcm import FINITE, GCM, validate_gcm
 from .grading import check_finite_grading, grade_of, phi_w_d
 from .lattice import Coweight, RootVec, WeylWord, simple_root
@@ -30,7 +30,7 @@ from .sl2 import (
     verify_symbolic,
     verify_triple_elements,
 )
-from .weyl import inversion_set, is_reduced
+from .weyl import inversion_set
 
 __all__ = [
     "SweepConfig",
@@ -276,10 +276,11 @@ def _random_reduced_word(g: GCM, rng: random.Random, max_len: int, max_height: i
         cands = list(range(1, g.n + 1))
         rng.shuffle(cands)
         for i in cands:
-            trial = WeylWord.of(letters + [i])
-            if not is_reduced(g, trial):
+            try:
+                inv = inversion_set(g, WeylWord.of(letters + [i]))
+            except NotReduced:
                 continue
-            if max(bb.height for bb in inversion_set(g, trial)) > max_height:
+            if max(bb.height for bb in inv) > max_height:
                 continue
             letters.append(i)
             break

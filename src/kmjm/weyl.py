@@ -6,7 +6,7 @@ words outright)."""
 from __future__ import annotations
 
 from .errors import NotReduced
-from .gcm import GCM, classify
+from .gcm import GCM
 from .lattice import Coweight, RootVec, WeylWord, simple_root
 
 __all__ = [
@@ -66,36 +66,6 @@ def _inversion_list(g: GCM, word: WeylWord) -> list[RootVec]:
     return out
 
 
-def _rank2_alternating_inversions(g: GCM, word: WeylWord) -> list[RootVec] | None:
-    # Closed-form fast path for alternating words over a rank-2 hyperbolic GCM;
-    # must (and is tested to) agree with the generic construction.
-    if g.n != 2 or len(word) == 0:
-        return None
-    letters = word.letters
-    if any(letters[k] == letters[k + 1] for k in range(len(letters) - 1)):
-        return None
-    tag = classify(g)
-    if not tag.hyperbolic:
-        return None
-    # deferred: rank2 sits above weyl in the layering
-    from .rank2 import Rank2Label, family_root
-
-    # The closed-form families are oriented by the larger off-diagonal entry,
-    # so which pair tracks words starting with s_1 flips when a < b.
-    # For the dominant orientation: beta_{2j+1} = (s1 s2)^j alpha_1 = LL_j and
-    # beta_{2j+2} = (s1 s2)^j s1 alpha_2 = SL_j; words starting with s_2 walk
-    # the SU/LU pair instead.
-    a = -g.entries[1][0]
-    b = -g.entries[0][1]
-    starts_one = letters[0] == 1
-    even_fam, odd_fam = ("LL", "SL") if starts_one == (a >= b) else ("SU", "LU")
-    out = []
-    for k in range(len(letters)):
-        j, odd = divmod(k, 2)
-        out.append(family_root(g, Rank2Label(odd_fam if odd else even_fam, j)))
-    return out
-
-
 def inversion_set(g: GCM, word: WeylWord) -> list[RootVec]:
     """Phi_w = {beta in Phi+ : w^{-1} beta < 0} listed in reflection order.
 
@@ -103,9 +73,6 @@ def inversion_set(g: GCM, word: WeylWord) -> list[RootVec]:
     i.e. all partial images are distinct positive roots.
     """
     word.validate(g.n)
-    fast = _rank2_alternating_inversions(g, word)
-    if fast is not None:
-        return fast
     betas = _inversion_list(g, word)
     seen = set()
     for k, beta in enumerate(betas):

@@ -264,14 +264,20 @@ def test_config_file_defaults(capsys, tmp_path):
 
 def test_config_values_must_be_integers(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    for bad in ({"cap": "abc"}, {"cap": 2.5}, {"cap": True}, {"height": "4"}):
+    for bad in (
+        {"cap": "abc"}, {"cap": 2.5}, {"cap": True}, {"height": "4"},
+        {"seed": [1]}, {"seed": 2.7}, {"seed": "7"},
+    ):
         cfg.write_text(json.dumps(bad))
         code, out, err = run(
             capsys, "realize", "--gcm-inline", A2_INLINE, "--height", "3",
             "--dims", "--config", str(cfg),
         )
         assert code == 2 and out == ""
-        assert err.splitlines()[-1].startswith("kmjm: error: config ")
+        (key,) = bad
+        assert err.splitlines()[-1].startswith(
+            f"kmjm: error: config {key} must be an integer"
+        )
         assert "Traceback" not in err
 
 

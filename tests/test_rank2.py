@@ -17,6 +17,7 @@ from kmjm import (
     defining_word,
     family_root,
     gamma_eta,
+    inversion_set,
     norm,
     rootvec,
     simple_root,
@@ -104,6 +105,33 @@ def test_family_base_cases():
     gs = validate_gcm(H15)
     assert family_root(gs, Rank2Label("LL", 0)).coeffs == (0, 1)
     assert family_root(gs, Rank2Label("LU", 0)).coeffs == (5, 1)
+
+
+def test_family_roots_are_alternating_inversion_sets():
+    # Cross-check of the closed forms against the reflection route.  The
+    # families are oriented by the larger off-diagonal entry, so which pair
+    # tracks words starting with s_1 flips when a < b.  For the dominant
+    # orientation: beta_{2j+1} = (s1 s2)^j alpha_1 = LL_j and
+    # beta_{2j+2} = (s1 s2)^j s1 alpha_2 = SL_j; words starting with s_2 walk
+    # the SU/LU pair instead.
+    for matrix in (H32, H51, H23, H16, H3):
+        g = validate_gcm(matrix)
+        a = -g.entries[1][0]
+        b = -g.entries[0][1]
+        for start in (1, 2):
+            for length in range(1, 9):
+                letters = tuple((start + k) % 2 + 1 for k in range(length))
+                starts_one = letters[0] == 1
+                even_fam, odd_fam = (
+                    ("LL", "SL") if starts_one == (a >= b) else ("SU", "LU")
+                )
+                closed = []
+                for k in range(length):
+                    j, odd = divmod(k, 2)
+                    label = Rank2Label(odd_fam if odd else even_fam, j)
+                    closed.append(family_root(g, label))
+                # both in reflection order
+                assert inversion_set(g, WeylWord(letters)) == closed
 
 
 def test_label_validation():

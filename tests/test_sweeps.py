@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 from kmjm.sweeps import (
@@ -30,6 +31,14 @@ def test_instances_are_deterministic():
     assert dict(ranks) == {1: 18, 2: 305, 3: 177}
     assert all(inst.word for inst in a)
     assert all(inst.slice_roots() for inst in a[:25])
+    # pinned words, slices and degrees of every instance
+    out = hashlib.sha256()
+    for inst in a:
+        roots = [r.coeffs for r in inst.slice_roots()]
+        out.update(repr((inst.describe(), roots)).encode())
+    assert out.hexdigest() == (
+        "506d834f7bc0e5f9d5f4b91d315c8d5dcc19e86fd0f60c89b15ca9aa9899bad1"
+    )
 
 
 def test_other_seed_changes_instances():

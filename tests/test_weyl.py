@@ -16,7 +16,7 @@ from kmjm import (
     validate_gcm,
 )
 from kmjm.grading import grade_of
-from kmjm.weyl import _inversion_list, reflect_coweight
+from kmjm.weyl import reflect_coweight
 
 
 def test_inversion_anchors():
@@ -26,25 +26,6 @@ def test_inversion_anchors():
     g = validate_gcm(H51)
     inv = inversion_set(g, WeylWord((2, 1, 2)))
     assert sorted(r.coeffs for r in inv) == [(0, 1), (1, 4), (1, 5)]
-
-
-def test_fast_path_matches_generic():
-    for matrix in (
-        [[2, -2], [-3, 2]],
-        [[2, -1], [-5, 2]],
-        [[2, -3], [-2, 2]],
-        [[2, -6], [-1, 2]],
-        [[2, -3], [-3, 2]],
-    ):
-        g = validate_gcm(matrix)
-        for start in (1, 2):
-            for length in range(1, 9):
-                word = WeylWord(
-                    tuple((start + k) % 2 + 1 for k in range(length))
-                )
-                fast = inversion_set(g, word)
-                slow = _inversion_list(g, word)
-                assert fast == slow  # both in reflection order
 
 
 def test_is_reduced():
