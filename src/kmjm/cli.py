@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import sweeps
 from ._linalg import rank_exact
-from .errors import HeightOutOfRange, KmjmError, NotPiSystem
+from .errors import HeightOutOfRange, KmjmError, NotPiSystem, NotReduced
 from .gcm import norm as root_norm
 from .gcm import validate_gcm
 from .grading import check_finite_grading, phi_w_d
@@ -39,7 +39,7 @@ from .sl2 import (
     verify_symbolic,
     verify_triple_elements,
 )
-from .weyl import inversion_set, is_reduced
+from .weyl import inversion_set
 
 __all__ = ["main", "RunConfig"]
 
@@ -297,12 +297,11 @@ def _cmd_roots(args, rc: RunConfig):
 def _cmd_weyl(args, rc: RunConfig):
     g = _load_gcm(args)
     w = _word_of(args, g)
-    if not is_reduced(g, w):
+    try:
+        inv = inversion_set(g, w)
+    except NotReduced:
         return {"reduced": False, "inversions": None}
-    return {
-        "reduced": True,
-        "inversions": [_coeff_list(b) for b in inversion_set(g, w)],
-    }
+    return {"reduced": True, "inversions": [_coeff_list(b) for b in inv]}
 
 
 def _cmd_grade(args, rc: RunConfig):

@@ -10,6 +10,13 @@ against the root multiplicity table at every degree that gets echelonized —
 any mismatch means a bug in one of the two independent computations and is
 reported as InternalInconsistency rather than papered over.
 
+Degrees are built on first use: a bracket that needs one builds it after
+every degree below it, so an algebra from truncated_on_demand costs only the
+downward closure of the root spaces it is asked about.  A degree depends only
+on the degrees below it, so the basis and the structure constants do not
+depend on the order of the requests.  build_truncated builds every degree of
+the window, in height order, before it returns.
+
 The arithmetic of the build is integer throughout.  The normal form of a
 polynomial modulo the echelon is canonical (no pivot word survives), and it is
 computed fraction-free as an integer numerator with a denominator.  Each
@@ -68,6 +75,7 @@ __all__ = [
     "AlgElement",
     "TruncatedAlgebra",
     "build_truncated",
+    "truncated_on_demand",
     "exp_ad",
     "simple_reflection",
     "NilpotencyResult",
@@ -450,29 +458,26 @@ class TruncatedAlgebra:
         self._pp_cache: dict = {}
         self._pn_cache: dict = {}
         self._t_cache: dict = {}
-        self._build()
 
     # -- construction -----------------------------------------------------
 
     def _mult(self, deg) -> int:
         return self.table.mult.get(RootVec(deg), 0)
 
-    def _build(self):
-        n = self.gcm.n
-        # degrees with multiplicity zero still matter for the ideal
-        # bookkeeping; enumerate the full cone up to the bound
-        by_height = {0: [tuple([0] * n)]}
-        for h in range(1, self.height + 1):
-            level = set()
-            for prev in by_height[h - 1]:
-                for i in range(n):
-                    v = list(prev)
-                    v[i] += 1
-                    level.add(tuple(v))
-            by_height[h] = sorted(level)
-        for h in range(1, self.height + 1):
-            for deg in by_height[h]:
-                self._build_degree(deg)
+    def _degree(self, deg) -> _DegreeData:
+        """The data of a degree of the window, built on first use after its
+        lower neighbours deg - alpha_i.  A degree is recorded only once its
+        build has passed every check, so a failed build raises again on the
+        next request instead of leaving half-built data behind."""
+        data = self.degrees.get(deg)
+        if data is None:
+            if sum(deg) > 1:
+                for i in range(len(deg)):
+                    if deg[i]:
+                        self._degree(deg[:i] + (deg[i] - 1,) + deg[i + 1:])
+            data = self._build_degree(deg)
+            self.degrees[deg] = data
+        return data
 
     def _build_degree(self, deg):
         g = self.gcm
@@ -481,7 +486,6 @@ class TruncatedAlgebra:
         data.mult = self._mult(deg)
         data.lyndon = lyndon_words(deg)
         data.dim_free = len(data.lyndon)
-        self.degrees[deg] = data
         height = sum(deg)
         if height == 1:
             # a simple root: free piece is one generator, no relations
@@ -496,7 +500,7 @@ class TruncatedAlgebra:
             data.solver.insert({(i,): 1}, 0)
             data.chosen = [(i,)]
             data.echelon = _Echelon()
-            return
+            return data
         if data.dim_free == 0:
             # e.g. a multiple of a single simple root: nothing here at all
             if data.mult != 0:
@@ -505,12 +509,12 @@ class TruncatedAlgebra:
                     degree=list(deg),
                 )
             data.echelon = _Echelon()
-            return
+            return data
         if data.mult == 0 and self.mode == "fast":
             # dead degree: the ideal fills the free piece; propagate its full
             # Lyndon spanning set without echelonizing
             data.prop_rows = [dict(_lyndon_expand(w)) for w in data.lyndon]
-            return
+            return data
         rows = []
         for i in range(1, n + 1):
             for j in range(1, n + 1):
@@ -529,7 +533,7 @@ class TruncatedAlgebra:
             lower = tuple(deg[t] - (1 if t == i else 0) for t in range(n))
             if sum(lower) < 2:
                 continue  # the ideal vanishes at height one
-            below = self.degrees[lower]
+            below = self._degree(lower)
             src = below.prop_rows if below.prop_rows else (
                 list(below.echelon.rows.values()) if below.echelon else []
             )
@@ -551,7 +555,7 @@ class TruncatedAlgebra:
             )
         data.prop_rows = list(ech.rows.values())
         if data.mult == 0:
-            return
+            return data
         data.solver = _Solver(data.mult)
         for w in data.lyndon:
             num, den = ech.reduce(_lyndon_expand(w))
@@ -568,6 +572,7 @@ class TruncatedAlgebra:
                 f"degree {list(deg)}, multiplicity table demands {data.mult}",
                 degree=list(deg),
             )
+        return data
 
     # -- basic elements ----------------------------------------------------
 
@@ -596,14 +601,14 @@ class TruncatedAlgebra:
         return AlgElement(self, {("n", deg, 0): Fraction(1)})
 
     def positive_basis(self, beta: RootVec) -> list[AlgElement]:
-        data = self.degrees.get(beta.coeffs)
-        if data is None:
+        deg = beta.coeffs
+        if len(deg) != self.gcm.n or min(deg) < 0 or not 1 <= sum(deg) <= self.height:
             raise HeightOutOfRange(
-                f"degree {list(beta.coeffs)} is outside the truncation",
+                f"degree {list(deg)} is outside the truncation",
                 height=beta.height,
                 table_height=self.height,
             )
-        return [AlgElement(self, {("p", beta.coeffs, k): Fraction(1)}) for k in range(data.mult)]
+        return [AlgElement(self, {("p", deg, k): Fraction(1)}) for k in range(self._mult(deg))]
 
     def negative_basis(self, beta: RootVec) -> list[AlgElement]:
         return [self._mirror_elt(x) for x in self.positive_basis(beta)]
@@ -616,7 +621,7 @@ class TruncatedAlgebra:
     def _reduce_poly(self, deg, poly, den=1):
         """Quotient image of poly / den at the degree, poly a positive free
         Lie polynomial with integer coefficients."""
-        data = self.degrees[deg]
+        data = self._degree(deg)
         if data.mult == 0:
             return {}
         num, nden = data.echelon.reduce(poly)
@@ -725,8 +730,8 @@ class TruncatedAlgebra:
         elif self._mult(deg) == 0:
             res = ({}, False)
         else:
-            pa, den_a = self.degrees[da].basis_reps[ak[2]]
-            pb, den_b = self.degrees[db].basis_reps[bk[2]]
+            pa, den_a = self._degree(da).basis_reps[ak[2]]
+            pb, den_b = self._degree(db).basis_reps[bk[2]]
             res = (self._reduce_poly(deg, _poly_bracket(pa, pb), den_a * den_b), False)
         self._pp_cache[key] = res
         rev = ({k: -v for k, v in res[0].items()}, res[1])
@@ -738,7 +743,7 @@ class TruncatedAlgebra:
         with y_i at deg - alpha_i and the vector equal to sum_i [e_i, y_i]:
         one Gauss-Jordan pass over the quotient coordinates of the candidates
         [e_i, b], b over the basis below."""
-        data = self.degrees[deg]
+        data = self._degree(deg)
         if data.decomp is not None:
             return data.decomp
         n = self.gcm.n
@@ -748,7 +753,7 @@ class TruncatedAlgebra:
                 continue
             gen = ("p", tuple(1 if t == i else 0 for t in range(n)), 0)
             lower = tuple(deg[t] - (1 if t == i else 0) for t in range(n))
-            for k in range(self.degrees[lower].mult):
+            for k in range(self._degree(lower).mult):
                 b = ("p", lower, k)
                 vec = dict(self._pp(gen, b)[0])
                 comb = {(i + 1, b): Fraction(1)}
@@ -839,13 +844,35 @@ class TruncatedAlgebra:
 
 def build_truncated(g: GCM, height: int, mode: str = "strict",
                     cap: int | None = None, table: MultTable | None = None) -> TruncatedAlgebra:
-    """Build the truncation at the given height bound.
+    """Build the truncation at the given height bound, every degree of the
+    window included.
 
     mode "strict" echelonizes every degree and cross-checks each quotient
     dimension against the multiplicity table; "fast" short-circuits dead
     degrees.  The estimated dimension must stay within the cap (argument,
     else KMJM_CAP from the environment, else 20000).
     """
+    alg = truncated_on_demand(g, height, mode, cap, table)
+    for deg in _window(g.n, height):
+        alg._degree(deg)
+    return alg
+
+
+def _window(n: int, height: int):
+    # every degree of the window (nonnegative, height 1..height) by height;
+    # degrees of multiplicity zero still matter for the ideal bookkeeping
+    level = [(0,) * n]
+    for _ in range(height):
+        level = sorted({d[:i] + (d[i] + 1,) + d[i + 1:] for d in level for i in range(n)})
+        yield from level
+
+
+def truncated_on_demand(g: GCM, height: int, mode: str = "strict",
+                        cap: int | None = None, table: MultTable | None = None) -> TruncatedAlgebra:
+    """The truncation of build_truncated, with the same arguments and checks,
+    but each degree is built the first time a bracket needs it (together
+    with every degree below it).  Basis and structure constants
+    are the same whatever order the degrees are requested in."""
     if mode not in ("strict", "fast"):
         raise ValueError(f"mode must be 'strict' or 'fast', got {mode!r}")
     if height < 1:

@@ -15,13 +15,13 @@ from functools import lru_cache
 from itertools import product
 
 from ._linalg import det_exact
-from .errors import HeightOutOfRange, KmjmError, NotReduced, SingularB
+from .errors import HeightOutOfRange, KmjmError, SingularB
 from .gcm import FINITE, GCM, validate_gcm
 from .grading import check_finite_grading, grade_of, phi_w_d
 from .lattice import Coweight, RootVec, WeylWord, simple_root
 from .pisystem import classify_pi_type, make_pi_system
 from .rank2 import build_exceptional_triple, classify_intersection
-from .realize import TruncatedAlgebra, build_truncated
+from .realize import TruncatedAlgebra, truncated_on_demand
 from .roots import MultTable, peterson_multiplicities
 from .sl2 import (
     build_triple,
@@ -30,7 +30,7 @@ from .sl2 import (
     verify_symbolic,
     verify_triple_elements,
 )
-from .weyl import inversion_set
+from .weyl import apply_word, inversion_set
 
 __all__ = [
     "SweepConfig",
@@ -97,7 +97,8 @@ def _oracle(matrix, height: int) -> MultTable:
 
 @lru_cache(maxsize=None)
 def _algebra(matrix, height: int, cap=None) -> TruncatedAlgebra:
-    return build_truncated(
+    # a suite touches few degrees of each algebra; those are built on first use
+    return truncated_on_demand(
         _gcm(matrix), height, mode="fast", cap=cap, table=_oracle(matrix, height)
     )
 
@@ -269,18 +270,19 @@ class SweepInstance:
 
 def _random_reduced_word(g: GCM, rng: random.Random, max_len: int, max_height: int):
     """Grow a reduced word letter by letter, keeping every inversion within
-    the height budget; stops early when no letter extends it."""
+    the height budget; stops early when no letter extends it.
+
+    The word w so far is reduced, so w s_i is reduced exactly when w(alpha_i)
+    is positive, and that root is its one new inversion."""
     letters: list = []
     target = rng.randint(1, max_len)
     while len(letters) < target:
         cands = list(range(1, g.n + 1))
         rng.shuffle(cands)
+        w = WeylWord.of(letters)
         for i in cands:
-            try:
-                inv = inversion_set(g, WeylWord.of(letters + [i]))
-            except NotReduced:
-                continue
-            if max(bb.height for bb in inv) > max_height:
+            root = apply_word(g, w, simple_root(g.n, i))
+            if not root.is_positive or root.height > max_height:
                 continue
             letters.append(i)
             break

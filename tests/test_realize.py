@@ -25,7 +25,7 @@ from kmjm import (
     simple_reflection,
     validate_gcm,
 )
-from kmjm.realize import _Echelon, _Solver, lyndon_words
+from kmjm.realize import _Echelon, _Solver, lyndon_words, truncated_on_demand
 from kmjm.roots import coroot_coords
 
 
@@ -402,3 +402,61 @@ def test_lyndon_words_match_definition(content):
         if all(w < w[k:] + w[:k] for k in range(1, len(w)))
     )
     assert lyndon_words(content) == want
+
+
+def _basis_key(x):
+    (key,) = x.terms
+    return key
+
+
+@pytest.mark.parametrize("matrix, height", [(H3, 8), (A2_AFFINE, 7), (WILD3, 5)])
+def test_on_demand_matches_eager_queried_top_down(matrix, height):
+    # each degree depends only on the degrees below it, so building them in
+    # whatever order the queries ask for changes neither basis nor brackets
+    g = validate_gcm(matrix)
+    eager = build_truncated(g, height, mode="fast")
+    lazy = truncated_on_demand(g, height, mode="fast")
+    assert not lazy.degrees
+    degs = sorted(eager.degrees, key=lambda d: (sum(d), d))
+
+    def table(alg, order):
+        out = {}
+        for da in order:
+            for x in alg.positive_basis(rootvec(da)):
+                for j in range(1, g.n + 1):
+                    out[(_basis_key(x), j)] = alg.bracket(x, alg.f(j)).to_serial()
+                for db in degs:
+                    if sum(da) + sum(db) <= height:
+                        for y in alg.positive_basis(rootvec(db)):
+                            out[(_basis_key(x), _basis_key(y))] = alg.bracket(x, y).to_serial()
+        return out
+
+    assert table(lazy, degs[::-1]) == table(eager, degs)
+    assert set(lazy.degrees) <= set(eager.degrees)
+    assert {d for d in eager.degrees if eager.degrees[d].mult} <= set(lazy.degrees)
+    for deg in lazy.degrees:
+        assert lazy.degrees[deg].chosen == eager.degrees[deg].chosen
+
+
+def test_on_demand_builds_only_the_downward_closure():
+    alg = truncated_on_demand(validate_gcm(A2_AFFINE), 8, mode="fast")
+    assert alg.dim == build_truncated(validate_gcm(A2_AFFINE), 8, mode="fast").dim
+    assert len(alg.positive_basis(rootvec((2, 2, 2)))) == 2
+    assert not alg.degrees
+    assert not alg.bracket(alg.e(1), alg.e(2)).is_zero()
+    assert set(alg.degrees) == {(1, 0, 0), (0, 1, 0), (1, 1, 0)}
+    for c in ((0, 0, 0), (9, 0, 0), (1, -1, 1), (1, 1)):
+        with pytest.raises(HeightOutOfRange):
+            alg.positive_basis(rootvec(c))
+
+
+def test_failed_degree_is_not_recorded(monkeypatch):
+    # a degree whose rank check fails raises on every request, and nothing
+    # half-built stays behind for a later query to use
+    alg = truncated_on_demand(validate_gcm(A2_AFFINE), 4, mode="fast")
+    monkeypatch.setitem(alg.table.mult, rootvec((1, 1, 0)), 2)
+    for _ in range(2):
+        with pytest.raises(InternalInconsistency, match="rank disagrees") as err:
+            alg.bracket(alg.e(1), alg.e(2))
+        assert err.value.context["degree"] == [1, 1, 0]
+        assert set(alg.degrees) == {(1, 0, 0), (0, 1, 0)}

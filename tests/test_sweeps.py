@@ -1,13 +1,19 @@
 import hashlib
+import random
 from collections import Counter
 
+from kmjm import NotReduced, WeylWord, simple_root
 from kmjm.sweeps import (
+    _POOL,
     SUITES,
     SuiteReport,
     SweepConfig,
+    _gcm,
+    _random_reduced_word,
     criterion_instances,
     run_affine_heisenberg,
 )
+from kmjm.weyl import apply_word, inversion_set
 
 
 def test_suite_registry():
@@ -68,3 +74,68 @@ def test_failed_report_carries_context():
     rep = SuiteReport("x", 1, 2, ({"instance": 0, "reason": "nope"},))
     assert not rep.ok
     assert rep.as_dict()["failures"] == [{"instance": 0, "reason": "nope"}]
+
+
+def _reduced_prefix(g, rng, length):
+    # grown through full inversion sets, independently of the sweeps' shortcut
+    letters = []
+    for _ in range(length):
+        i = rng.randint(1, g.n)
+        try:
+            inversion_set(g, WeylWord.of(letters + [i]))
+        except NotReduced:
+            continue
+        letters.append(i)
+    return letters
+
+
+def test_one_letter_extension_matches_inversion_set():
+    # for a reduced w, w s_i is reduced exactly when w(alpha_i) > 0, and that
+    # root is the one inversion w s_i adds to those of w
+    rng = random.Random(1009)
+    for matrix in _POOL:
+        g = _gcm(matrix)
+        for _ in range(12):
+            letters = _reduced_prefix(g, rng, rng.randint(0, 10))
+            w = WeylWord.of(letters)
+            for i in range(1, g.n + 1):
+                root = apply_word(g, w, simple_root(g.n, i))
+                try:
+                    inv = inversion_set(g, WeylWord.of(letters + [i]))
+                except NotReduced:
+                    assert not root.is_positive
+                    continue
+                assert root.is_positive
+                assert inv == inversion_set(g, w) + [root]
+
+
+def _reference_reduced_word(g, rng, max_len, max_height):
+    # the word growth rebuilding every trial word's inversion set
+    letters = []
+    target = rng.randint(1, max_len)
+    while len(letters) < target:
+        cands = list(range(1, g.n + 1))
+        rng.shuffle(cands)
+        for i in cands:
+            try:
+                inv = inversion_set(g, WeylWord.of(letters + [i]))
+            except NotReduced:
+                continue
+            if max(bb.height for bb in inv) > max_height:
+                continue
+            letters.append(i)
+            break
+        else:
+            break
+    return tuple(letters)
+
+
+def test_word_growth_matches_full_inversion_sets():
+    for seed in range(6):
+        for max_height in (3, 12):
+            ours, ref = random.Random(seed), random.Random(seed)
+            for matrix in _POOL:
+                g = _gcm(matrix)
+                assert _random_reduced_word(g, ours, 10, max_height) == (
+                    _reference_reduced_word(g, ref, 10, max_height)
+                )
