@@ -27,14 +27,14 @@ NAMED = {
 }
 
 
-def table_for(name, matrix, height, mode, cap, per_degree):
+def table_for(name, matrix, height, cap, per_degree):
     g = validate_gcm(matrix)
     oracle = peterson_multiplicities(g, height)
     print(f"== {name}: {matrix}")
     print(f"{'height':>6} {'dim':>8} {'roots':>7} {'max mult':>9} {'seconds':>8}")
     for h in range(1, height + 1):
         t0 = time.perf_counter()
-        alg = build_truncated(g, h, mode=mode, cap=cap, table=oracle)
+        alg = build_truncated(g, h, cap=cap, table=oracle)
         dt = time.perf_counter() - t0
         mults = [alg.table.multiplicity(v) for v in alg.table.roots()]
         print(f"{h:>6} {alg.dim:>8} {len(mults):>7} {max(mults, default=0):>9} {dt:>8.3f}")
@@ -50,7 +50,6 @@ def main(argv=None) -> int:
                     help=f"inline JSON matrix or one of {', '.join(NAMED)} "
                          "(repeatable; default: the named set)")
     ap.add_argument("--height", type=int, default=8)
-    ap.add_argument("--mode", choices=("strict", "fast"), default="fast")
     ap.add_argument("--cap", type=int, default=None)
     ap.add_argument("--per-degree", action="store_true",
                     help="also list every root with its multiplicity")
@@ -67,7 +66,7 @@ def main(argv=None) -> int:
         jobs = list(NAMED.items())
 
     for name, matrix in jobs:
-        table_for(name, matrix, args.height, args.mode, args.cap, args.per_degree)
+        table_for(name, matrix, args.height, args.cap, args.per_degree)
         print()
     return 0
 

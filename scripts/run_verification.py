@@ -14,6 +14,7 @@ import json
 import sys
 import time
 
+from kmjm.realize import resolve_cap
 from kmjm.sweeps import SUITES, SweepConfig
 
 
@@ -29,8 +30,12 @@ def main(argv=None) -> int:
     ap.add_argument("--max-failures", type=int, default=5,
                     help="how many failure records to include per suite")
     args = ap.parse_args(argv)
+    try:
+        cap = resolve_cap(args.cap)
+    except ValueError as err:
+        ap.error(str(err))
 
-    config = SweepConfig(seed=args.seed, instances=args.instances, cap=args.cap)
+    config = SweepConfig(seed=args.seed, instances=args.instances, cap=cap)
     names = args.suite or list(SUITES)
     bad = 0
     for name in names:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +30,7 @@ from .rank2 import (
     family_root,
     gamma_eta,
 )
-from .realize import DEFAULT_CAP, build_truncated
+from .realize import build_truncated, resolve_cap
 from .roots import peterson_multiplicities
 from .sl2 import (
     build_triple,
@@ -65,10 +64,6 @@ class RunConfig:
     cap: int | None = None
     fmt: str = "json"
     height_default: int | None = None
-
-    @property
-    def cap_effective(self) -> int:
-        return self.cap if self.cap is not None else DEFAULT_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gcm_flags(sp)
     sp.add_argument("--height", type=int)
     sp.add_argument("--dims", action="store_true")
-    sp.add_argument("--mode", choices=("strict", "fast"), default="strict")
+    sp.add_argument("--mode", choices=("strict", "fast"), default="strict",
+                    help="accepted for compatibility; both build the same algebra")
 
     sp = sub.add_parser("rank2", parents=[common])
     sp.add_argument("--a", type=int, required=True)
@@ -154,13 +150,10 @@ def _resolve(args) -> RunConfig:
     if seed is None:
         seed = _DEFAULT_SEED
     cap = args.cap if args.cap is not None else _config_int(cfg, "cap")
-    if cap is None:
-        env = os.environ.get("KMJM_CAP")
-        if env:
-            try:
-                cap = int(env)
-            except ValueError:
-                raise UsageError(f"KMJM_CAP must be an integer, got {env!r}")
+    try:
+        cap = resolve_cap(cap)
+    except ValueError as err:
+        raise UsageError(str(err))
     fmt = args.fmt or cfg.get("format", "json")
     if fmt not in ("json", "tsv"):
         raise UsageError(f"format must be json or tsv, got {fmt!r}")
@@ -371,7 +364,7 @@ def _cmd_sl2(args, rc: RunConfig):
     symbolic = "pass" if verify_symbolic(triple) else "fail"
     run_h = args.height if args.height is not None else (rc.height_default or 8)
     if hmax <= run_h:
-        alg = build_truncated(g, run_h, mode="fast", cap=rc.cap_effective)
+        alg = build_truncated(g, run_h, cap=rc.cap)
         realized = _realize_verdict(triple, alg)
     else:
         realized = "skipped(height)"
@@ -388,7 +381,7 @@ def _cmd_realize(args, rc: RunConfig):
     height = args.height if args.height is not None else rc.height_default
     if height is None:
         raise UsageError("--height is required")
-    alg = build_truncated(g, height, mode=args.mode, cap=rc.cap_effective)
+    alg = build_truncated(g, height, mode=args.mode, cap=rc.cap)
     dims = {str([0] * g.n): _ji(g.n)}
     for v in alg.table.roots():
         m = alg.table.multiplicity(v)
@@ -438,7 +431,7 @@ def _cmd_rank2(args, rc: RunConfig):
             word=args.word, tau=args.tau, d=args.degree,
         )
     height = args.height if args.height is not None else (rc.height_default or 12)
-    alg = build_truncated(g, height, mode="fast", cap=rc.cap_effective)
+    alg = build_truncated(g, height, cap=rc.cap)
     if verdict.kind == "Single":
         coeffs = _fracs_csv(args.coeffs, "--coeffs") if args.coeffs else (Fraction(1),)
         beta = verdict.root
@@ -499,7 +492,7 @@ def main(argv=None) -> int:
     try:
         rc = _resolve(args)
         print(
-            f"# kmjm {args.cmd} seed={rc.seed} cap={rc.cap_effective} format={rc.fmt}",
+            f"# kmjm {args.cmd} seed={rc.seed} cap={rc.cap} format={rc.fmt}",
             file=sys.stderr,
         )
         result = _HANDLERS[args.cmd](args, rc)

@@ -1,14 +1,27 @@
 """Exact realization of the algebra truncated at a height bound.
 
-The positive part is built degree by degree inside the free Lie algebra on the
-generators, realized concretely as noncommutative word polynomials (dict from
-word tuple to integer).  Per degree, a basis of the free piece is given by the
-bracketings of Lyndon words; the defining ideal is spanned by the relation
-elements of that exact degree together with [e_i, (ideal one step down)], and
-is echelonized over word monomials.  The quotient dimension is cross-checked
-against the root multiplicity table at every degree that gets echelonized —
-any mismatch means a bug in one of the two independent computations and is
-reported as InternalInconsistency rather than papered over.
+The positive part is built degree by degree from the lowering operators
+T_j(x) = [x, f_j].  In g(A) an element of the positive part is zero exactly
+when every T_j kills it (at height one, T_j(e_i) = delta_ij h_i), so an
+element of the root space at a positive degree beta is recorded by its
+T-images, which lie in the degrees beta - alpha_j below it.  No free Lie
+algebra is built: every degree costs what its quotient costs.
+
+Per degree, in height order: the candidates [e_i, b], b over the basis at
+beta - alpha_i, span the root space, and their T-images follow from the
+degrees below, T_j([e_i, b]) = [e_i, T_j b] + delta_ij <beta - alpha_i,
+alpha_i^v> b.  Their rank is the graded dimension, found without the root
+multiplicity table and cross-checked against it at every degree: a mismatch
+means a bug in one of the two independent computations and is reported as
+InternalInconsistency rather than papered over.  The basis of the degree is
+the images of its first independent Lyndon words, in lyndon_words order; the
+image of a word is the T-image of its standard bracketing [std(u), std(v)],
+from T_j[x, y] = [T_j x, y] + [x, T_j y], memoized per word.  Writing every
+candidate over that basis gives the raising matrices of ad e_i, and writing
+the basis over the candidates gives p = sum_i [e_i, y_i]; the bracket of two
+positive basis vectors is its T-image, from the same identity, solved in
+its degree.  All of it runs through one exact elimination, fraction-free on
+integers, so a Fraction appears only in the coordinates it returns.
 
 Degrees are built on first use: a bracket that needs one builds it after
 every degree below it, so an algebra from truncated_on_demand costs only the
@@ -17,27 +30,13 @@ on the degrees below it, so the basis and the structure constants do not
 depend on the order of the requests.  build_truncated builds every degree of
 the window, in height order, before it returns.
 
-The arithmetic of the build is integer throughout.  The normal form of a
-polynomial modulo the echelon is canonical (no pivot word survives), and it is
-computed fraction-free as an integer numerator with a denominator.  Each
-degree's basis vectors are the normal forms of its first independent Lyndon
-bracketings, stored that way; the solver that writes a reduced polynomial over
-them runs on the numerators, so a Fraction appears only in the coordinates it
-returns.
-
 The negative part is the mirror image (the generator swap e_i -> f_i is an
 isomorphism onto the negative part, with identical structure constants), so
 it reuses the positive data.  Mixed brackets never leave the height window
-and are computed in quotient coordinates, memoized per pair of basis vectors.
-On first use, every basis vector of a degree of height at least two is
-written as p = sum_i [e_i, y_i] with y_i one step down, by one exact
-elimination over the brackets [e_i, b] of the generators with the basis
-below.  The lowering operator then follows from
-[p, f_j] = sum_i [e_i, [y_i, f_j]] + [h_j, y_j], and the mirror
-n = sum_i [f_i, y_i'] turns [x, n] into sum_i [[x, f_i], y_i'] +
-[f_i, [x, y_i']]: brackets of basis vectors in lower degrees.  Every basis
-vector is the image of its chosen Lyndon bracketing, so a bracket of two basis
-vectors is one exact value whichever of these identities computes it.
+and are computed in quotient coordinates, memoized per pair of basis vectors:
+[p, f_j] is the recorded T-image, and the mirror n = sum_i [f_i, y_i'] of the
+decomposition turns [x, n] into sum_i [[x, f_i], y_i'] + [f_i, [x, y_i']]:
+brackets of basis vectors in lower degrees.
 
 Products of two positive (or two negative) elements whose total height
 exceeds the bound are cut to zero: the truncation is the quotient by the
@@ -46,11 +45,6 @@ intermediate degrees stay inside the window.  Mixed brackets never meet the
 cut.  Operations that must distinguish genuine vanishing from the cut
 (exponentials, nilpotency checks) track that and raise TruncationAmbiguous
 instead of guessing.
-
-Degrees with multiplicity zero are dead: anything landing there is zero in
-the quotient, and the ideal fills the whole free piece.  "fast" mode trusts
-the multiplicity table for dead degrees and skips their echelons; "strict"
-mode echelonizes those too, verifying the full kill.
 """
 
 from __future__ import annotations
@@ -58,7 +52,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .errors import (
     HeightOutOfRange,
@@ -76,6 +71,7 @@ __all__ = [
     "TruncatedAlgebra",
     "build_truncated",
     "truncated_on_demand",
+    "resolve_cap",
     "exp_ad",
     "simple_reflection",
     "NilpotencyResult",
@@ -88,42 +84,57 @@ __all__ = [
 DEFAULT_CAP = 20000
 
 
+def resolve_cap(cap: int | None = None) -> int:
+    """The dimension cap in force: the argument, else KMJM_CAP from the
+    environment, else DEFAULT_CAP."""
+    if cap is not None:
+        return cap
+    env = os.environ.get("KMJM_CAP")
+    if not env:
+        return DEFAULT_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"KMJM_CAP must be an integer, got {env!r}") from None
+
+
 # ---------------------------------------------------------------------------
-# free Lie algebra scaffolding: words, Lyndon words, bracket expansions
+# Lyndon words
 
 def lyndon_words(content):
-    """Lyndon words with the given letter content, in lex order.
+    """Lyndon words with the given letter content, in lex order."""
+    return list(_lyndon_iter(content))
 
-    Every prefix of a Lyndon word is a prenecklace, so the words come from the
-    Fredricksen-Kessler-Maiorana recursion restricted to the content: the
-    letter at position t is at least the one at t - p, p being the period of
-    the prefix, and a complete word is Lyndon exactly when its period is its
-    length.  A Lyndon word starts with its least letter."""
+
+def _lyndon_iter(content):
+    # Every prefix of a Lyndon word is a prenecklace, so the words come from
+    # the Fredricksen-Kessler-Maiorana recursion restricted to the content:
+    # the letter at position t is at least the one at t - p, p being the
+    # period of the prefix, and a complete word is Lyndon exactly when its
+    # period is its length.  A Lyndon word starts with its least letter.
     n = len(content)
     total = sum(content)
     if total == 0:
-        return []
+        return
     counts = list(content)
     first = next(i for i in range(n) if counts[i])
     counts[first] -= 1
     word = [first + 1] * total
-    out = []
 
     def rec(t, p):
         if t == total:
             if p == total:
-                out.append(tuple(word))
+                yield tuple(word)
             return
         low = word[t - p]
         for x in range(low, n + 1):
             if counts[x - 1]:
                 counts[x - 1] -= 1
                 word[t] = x
-                rec(t + 1, p if x == low else t + 1)
+                yield from rec(t + 1, p if x == low else t + 1)
                 counts[x - 1] += 1
 
-    rec(1, 1)
-    return out
+    yield from rec(1, 1)
 
 
 def _std_factorization(w):
@@ -135,46 +146,8 @@ def _std_factorization(w):
     return w[:best], w[best:]
 
 
-def _poly_bracket(p, q):
-    out = {}
-    for w1, c1 in p.items():
-        for w2, c2 in q.items():
-            c = c1 * c2
-            k = w1 + w2
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-            k = w2 + w1
-            v = out.get(k, 0) - c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-    return out
-
-
-_L_CACHE: dict = {}
-
-
-def _lyndon_expand(w):
-    # the word polynomial of the right-normed bracketing attached to a Lyndon
-    # word; leading (lex-least) monomial is w itself with coefficient 1
-    got = _L_CACHE.get(w)
-    if got is not None:
-        return got
-    if len(w) == 1:
-        poly = {w: 1}
-    else:
-        u, v = _std_factorization(w)
-        poly = _poly_bracket(_lyndon_expand(u), _lyndon_expand(v))
-    _L_CACHE[w] = poly
-    return poly
-
-
 # ---------------------------------------------------------------------------
-# integer echelon over word monomials
+# exact elimination
 
 def _sub_multiple(vec, c, row):
     # vec -= c * row in place, dropping zero coefficients
@@ -186,145 +159,100 @@ def _sub_multiple(vec, c, row):
             vec.pop(w, None)
 
 
-def _normalize_int_row(row):
-    g = 0
-    for c in row.values():
-        g = gcd(g, abs(c))
-        if g == 1:
-            break
-    lead = min(row)
-    if row[lead] < 0:
-        g = -g
-    if g not in (0, 1):
-        row = {w: c // g for w, c in row.items()}
-    elif g == -1:
-        row = {w: -c for w, c in row.items()}
-    return row
+def _rational(num, den):
+    # num / den as an int when it is one: the build's coordinates are mostly
+    # integers, and int arithmetic is far cheaper than Fraction arithmetic
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
-class _Echelon:
-    # integer row echelon keyed by pivot (lex-least) word
-    def __init__(self):
-        self.rows = {}
-        self._sorted = None
+class _Span:
+    """The span of rational vectors (dict column -> int or Fraction), added
+    one at a time, as an integer row echelon.
 
-    @property
-    def rank(self):
-        return len(self.rows)
+    Input k is stored scaled to integers, u_k = scales[k] * input_k; each row
+    is an integer vector with the integer combination of the u_k it equals,
+    and its pivot is its least column.  Rows are divided by the gcd of their
+    entries, with the sign that makes the pivot positive, so the elimination
+    stays fraction-free without growing."""
 
-    def insert(self, row):
-        # returns True if the row added a new pivot
-        row = dict(row)
-        while row:
-            lead = min(row)
-            pivot = self.rows.get(lead)
-            if pivot is None:
-                self.rows[lead] = _normalize_int_row(row)
-                self._sorted = None
-                return True
-            # row <- (a row - b pivot) / gcd(a, b); the stored row is
-            # normalized to be primitive, so the scale does not matter
-            a = pivot[lead]
-            b = row[lead]
-            g = gcd(a, b)
-            a //= g
-            b //= g
-            if a != 1:
-                row = {w: c * a for w, c in row.items()}
-            _sub_multiple(row, b, pivot)
-        return False
+    def __init__(self, track=True):
+        self.rows = {}  # pivot column -> (vector, combination)
+        self.scales = []
+        self.track = track  # without it, only the rank is kept
 
-    def sorted_pivots(self):
-        if self._sorted is None:
-            self._sorted = sorted(self.rows)
-        return self._sorted
-
-    def reduce(self, poly):
-        """Normal form of an integer polynomial modulo the rows, fraction-free.
-
-        Returns (num, den) with poly congruent to num/den, no pivot word left
-        in num, den > 0 and gcd(content(num), den) = 1.  Pivots only ever
-        introduce lex-greater words, so one ascending pass suffices; the
-        result is unique, hence canonical."""
-        num = {w: c for w, c in poly.items() if c}
-        den = 1
-        rows = self.rows
-        for piv in self.sorted_pivots():
-            c = num.get(piv)
-            if not c:
-                continue
-            row = rows[piv]
-            a = row[piv]
-            g = gcd(a, c)
-            a //= g
-            c //= g
-            if a != 1:
-                num = {w: a * v for w, v in num.items()}
-                den *= a
-            _sub_multiple(num, c, row)
-        g = gcd(den, *num.values())
-        if g != 1:
-            num = {w: v // g for w, v in num.items()}
-            den //= g
-        return num, den
-
-
-class _Solver:
-    # integer echelon of basis numerators num_0, num_1, ..., each row
-    # (pivot, vec, coords) with vec = sum_k coords[k] num_k, kept primitive
-    # and with a positive pivot entry
-    def __init__(self, width):
-        self.width = width
-        self.rows = []
+    def __len__(self):
+        return len(self.scales)
 
     def _reduce(self, vec):
-        # (rest, coords, s) with s * vec = rest + sum_k coords[k] num_k
-        vec = {w: c for w, c in vec.items() if c}
-        coords = [0] * self.width
+        # (den, rest, comb, s) with s * den * vec = rest + sum_k comb[k] u_k
+        if all(type(v) is int for v in vec.values()):
+            den = 1
+            rest = {c: v for c, v in vec.items() if v}
+        else:
+            den = lcm(*(v.denominator for v in vec.values()))
+            rest = {c: v.numerator * (den // v.denominator) for c, v in vec.items() if v}
+        comb = {}
         s = 1
-        for piv, rvec, rcoo in self.rows:
-            c = vec.get(piv)
+        rows = self.rows
+        # pivots in ascending order; a row only reaches columns above its own
+        todo = [c for c in rest if c in rows]
+        heapify(todo)
+        while todo:
+            piv = heappop(todo)
+            c = rest.get(piv)
             if not c:
                 continue
+            rvec, rcomb = rows[piv]
+            for k in rvec:
+                if k != piv and k in rows and k not in rest:
+                    heappush(todo, k)
             a = rvec[piv]
             g = gcd(a, c)
             a //= g
             c //= g
             if a != 1:
-                vec = {w: a * v for w, v in vec.items()}
-                coords = [a * x for x in coords]
+                rest = {k: a * v for k, v in rest.items()}
+                if comb:
+                    comb = {k: a * v for k, v in comb.items()}
                 s *= a
-            _sub_multiple(vec, c, rvec)
-            for k, rc in enumerate(rcoo):
-                if rc:
-                    coords[k] += c * rc
-        return vec, coords, s
+            _sub_multiple(rest, c, rvec)
+            if rcomb:
+                _sub_multiple(comb, -c, rcomb)
+        return den, rest, comb, s
 
-    def insert(self, vec, index):
-        # adds num_index = vec; False if it lies in the span of the others
-        rest, coords, s = self._reduce(vec)
+    def _coords(self, den, comb, s):
+        scales = self.scales
+        return {k: _rational(v * scales[k], s * den) for k, v in comb.items()}
+
+    def add(self, vec):
+        """Add a vector.  None when it is independent of those before it (it
+        becomes input len(self) - 1), else its coordinates over them."""
+        den, rest, comb, s = self._reduce(vec)
         if not rest:
-            return False
-        coords = [-x for x in coords]
-        coords[index] += s
-        g = gcd(*rest.values(), *coords)
+            return self._coords(den, comb, s)
+        # rest = s u_new - sum_k comb[k] u_k, with u_new = den * vec
+        if self.track:
+            comb = {k: -v for k, v in comb.items()}
+            comb[len(self.scales)] = s
+        self.scales.append(den)
         piv = min(rest)
+        g = gcd(*rest.values(), *comb.values())
         if rest[piv] < 0:
             g = -g
         if g != 1:
-            rest = {w: v // g for w, v in rest.items()}
-            coords = [x // g for x in coords]
-        self.rows.append((piv, rest, coords))
-        self.rows.sort(key=lambda r: r[0])
-        return True
+            rest = {k: v // g for k, v in rest.items()}
+            comb = {k: v // g for k, v in comb.items()}
+        self.rows[piv] = (rest, comb)
+        return None
 
     def solve(self, vec):
-        # (coords, s) with vec = sum_k (coords[k] / s) num_k, or None when
-        # vec is outside the span
-        rest, coords, s = self._reduce(vec)
+        """Coordinates of the vector over the inputs, as a dict input index ->
+        int or Fraction, or None when it is outside their span."""
+        den, rest, comb, s = self._reduce(vec)
         if rest:
             return None
-        return coords, s
+        return self._coords(den, comb, s)
 
 
 # ---------------------------------------------------------------------------
@@ -424,25 +352,57 @@ class AlgElement:
 
 
 class _DegreeData:
-    # basis_reps[k] is the k-th basis vector as an integer numerator and a
-    # denominator, (num, den), num being the echelon normal form scaled to
-    # lowest terms; the solver runs on those numerators.  decomp[k] writes
-    # the k-th basis vector as sum_i [e_i, y_i], a list of (i, y_i) with y_i
-    # an element one step down; built by the first mixed bracket that needs
-    # it (None until then, and at height one).
-    __slots__ = ("lyndon", "dim_free", "mult", "prop_rows", "echelon",
-                 "basis_reps", "decomp", "solver", "chosen")
+    # mult is the candidate rank, equal to the table's multiplicity; chosen
+    # holds the Lyndon words whose images are the basis.  lower[k][j] is
+    # T_j of the k-th basis vector as coordinates at deg - alpha_j (at height
+    # one, T_i(e_i) = h_i, as coordinates {i: 1} over the simple coroots,
+    # 0-based).  basis spans the basis T-images and solves for coordinates.
+    # candidates lists (i, l, T-images of [e_i, b_l], word) with b_l the
+    # l-th basis vector at deg - alpha_i and word = (w, sign) when [e_i, b_l]
+    # is sign times the image of the Lyndon word w, else None.  up[i][l] is
+    # [e_i, b_l] over the basis, and decomp writes each basis vector as
+    # sum_i [e_i, y_i]; both are filled on first use (None until then).
+    __slots__ = ("mult", "chosen", "lower", "up", "basis", "candidates", "decomp")
 
     def __init__(self):
-        self.lyndon = []
-        self.dim_free = 0
         self.mult = 0
-        self.prop_rows = []
-        self.echelon = None
-        self.basis_reps = []
-        self.decomp = None
-        self.solver = None
         self.chosen = []
+        self.lower = []
+        self.up = None
+        self.basis = _Span()
+        self.candidates = []
+        self.decomp = None
+
+
+def _span_of(vecs, track=True):
+    # the span of the vectors, with the position of each of its inputs
+    span = _Span(track)
+    keys = [c for c, vec in enumerate(vecs) if span.add(vec) is None]
+    return span, keys
+
+
+def _minus(deg, i):
+    return deg[:i] + (deg[i] - 1,) + deg[i + 1:]
+
+
+def _content(w, n):
+    return tuple(w.count(i + 1) for i in range(n))
+
+
+def _flat(lower, n):
+    # {j: coordinates} as one vector, column -(k * n + j): the elimination
+    # pivots on least columns, and starting from the later basis vectors
+    # below measurably keeps its rows sparser
+    return {-(k * n + j): v for j, coords in lower.items() for k, v in coords.items()}
+
+
+def _add_scaled(acc, scale, terms):
+    for k, v in terms.items():
+        s = acc.get(k, 0) + scale * v
+        if s:
+            acc[k] = s
+        else:
+            acc.pop(k, None)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +417,7 @@ class TruncatedAlgebra:
         self.degrees: dict[tuple, _DegreeData] = {}
         self._pp_cache: dict = {}
         self._pn_cache: dict = {}
-        self._t_cache: dict = {}
+        self._words: dict = {}
 
     # -- construction -----------------------------------------------------
 
@@ -474,105 +434,202 @@ class TruncatedAlgebra:
             if sum(deg) > 1:
                 for i in range(len(deg)):
                     if deg[i]:
-                        self._degree(deg[:i] + (deg[i] - 1,) + deg[i + 1:])
+                        self._degree(_minus(deg, i))
             data = self._build_degree(deg)
             self.degrees[deg] = data
         return data
 
     def _build_degree(self, deg):
-        g = self.gcm
-        n = g.n
+        n = self.gcm.n
         data = _DegreeData()
-        data.mult = self._mult(deg)
-        data.lyndon = lyndon_words(deg)
-        data.dim_free = len(data.lyndon)
-        height = sum(deg)
-        if height == 1:
-            # a simple root: free piece is one generator, no relations
-            if data.mult != 1:
+        expected = self._mult(deg)
+        if sum(deg) == 1:
+            if expected != 1:
                 raise InternalInconsistency(
                     "multiplicity table gives a simple root multiplicity other than one",
                     degree=list(deg),
                 )
-            i = deg.index(1) + 1
-            data.basis_reps = [({(i,): 1}, 1)]
-            data.solver = _Solver(1)
-            data.solver.insert({(i,): 1}, 0)
-            data.chosen = [(i,)]
-            data.echelon = _Echelon()
+            i = deg.index(1)
+            data.mult = 1
+            data.chosen = [(i + 1,)]
+            data.lower = [{i: {i: 1}}]
             return data
-        if data.dim_free == 0:
-            # e.g. a multiple of a single simple root: nothing here at all
-            if data.mult != 0:
-                raise InternalInconsistency(
-                    "multiplicity table claims a root where the free algebra is empty",
-                    degree=list(deg),
-                )
-            data.echelon = _Echelon()
-            return data
-        if data.mult == 0 and self.mode == "fast":
-            # dead degree: the ideal fills the free piece; propagate its full
-            # Lyndon spanning set without echelonizing
-            data.prop_rows = [dict(_lyndon_expand(w)) for w in data.lyndon]
-            return data
-        rows = []
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                m = 1 - g.a(i, j)
-                sdeg = tuple((m if t == i - 1 else 0) + (1 if t == j - 1 else 0) for t in range(n))
-                if sdeg == deg:
-                    poly = {(j,): 1}
-                    for _ in range(m):
-                        poly = _poly_bracket({(i,): 1}, poly)
-                    rows.append(poly)
+        cands = data.candidates
+        by_word = {}  # Lyndon word -> (c, sign): its image is sign * candidate c
         for i in range(n):
-            if deg[i] == 0:
-                continue
-            lower = tuple(deg[t] - (1 if t == i else 0) for t in range(n))
-            if sum(lower) < 2:
-                continue  # the ideal vanishes at height one
-            below = self._degree(lower)
-            src = below.prop_rows if below.prop_rows else (
-                list(below.echelon.rows.values()) if below.echelon else []
-            )
-            for row in src:
-                rows.append(_poly_bracket({(i + 1,): 1}, row))
-        ech = _Echelon()
-        for row in rows:
-            ech.insert(row)
-        data.echelon = ech
-        expected = data.dim_free - data.mult
-        if ech.rank != expected:
+            if deg[i]:
+                below = _minus(deg, i)
+                for l, v in enumerate(self._degree(below).chosen):
+                    # [e_i, b(v)] is b(iv) when i < v (iv is then Lyndon with
+                    # standard factorization (i, v)), and -b(vi) when v < i
+                    # and (v, i) is the standard factorization of vi
+                    a = (i + 1,)
+                    if a < v:
+                        word = (a + v, 1)
+                    elif v < a and _std_factorization(v + a) == (v, a):
+                        word = (v + a, -1)
+                    else:
+                        word = None
+                    if word:
+                        by_word[word[0]] = (len(cands), word[1])
+                    cands.append((i, l, self._raise_tvec(i, 1, below, {l: 1}), word))
+        flat = [_flat(t, n) for _, _, t, _ in cands]
+        rank = len(_span_of(flat, track=False)[0])
+        if rank != expected:
             raise InternalInconsistency(
-                "relation ideal rank disagrees with the multiplicity table "
-                f"at degree {list(deg)}: echelon gives {ech.rank}, "
+                "candidate rank disagrees with the multiplicity table "
+                f"at degree {list(deg)}: the brackets [e_i, b] span {rank}, "
                 f"multiplicities demand {expected}",
                 degree=list(deg),
-                rank=ech.rank,
+                rank=rank,
                 expected=expected,
             )
-        data.prop_rows = list(ech.rows.values())
-        if data.mult == 0:
-            return data
-        data.solver = _Solver(data.mult)
-        for w in data.lyndon:
-            num, den = ech.reduce(_lyndon_expand(w))
-            if not num:
-                continue
-            if data.solver.insert(num, len(data.basis_reps)):
-                data.basis_reps.append((num, den))
+        data.mult = rank
+        for w in _lyndon_iter(deg) if rank else ():
+            c, sign = by_word.get(w, (None, 1))
+            if c is None:
+                t = self._word_tvec(w)
+                got = data.basis.add(_flat(t, n))
+            elif sign == 1:
+                t = cands[c][2]
+                got = data.basis.add(flat[c])
+            else:
+                t = {j: {k: -v for k, v in tj.items()} for j, tj in cands[c][2].items()}
+                got = data.basis.add({k: -v for k, v in flat[c].items()})
+            if got is None:
+                got = {len(data.chosen): 1}
                 data.chosen.append(w)
-                if len(data.basis_reps) == data.mult:
-                    break
-        if len(data.basis_reps) != data.mult:
+                data.lower.append(t)
+            self._words[w] = got
+            if len(data.chosen) == rank:
+                break
+        if len(data.chosen) != rank:
             raise InternalInconsistency(
-                f"could only find {len(data.basis_reps)} independent vectors at "
-                f"degree {list(deg)}, multiplicity table demands {data.mult}",
+                f"could only find {len(data.chosen)} independent vectors at "
+                f"degree {list(deg)}, the candidates span {rank}",
                 degree=list(deg),
             )
         return data
+
+    def _raising(self, deg):
+        """up[i][l] = [e_i, b_l] over the basis at deg, b_l the l-th basis
+        vector at deg - alpha_i: the candidates written over the basis."""
+        data = self._degree(deg)
+        if data.up is None:
+            up = {}
+            for i, _, t, word in data.candidates:
+                got = self._words.get(word[0]) if word else None
+                if got is None:
+                    got = self._solve(deg, t, data)
+                elif word[1] == -1:
+                    got = {k: -v for k, v in got.items()}
+                up.setdefault(i, []).append(got)
+            data.up = up
+        return data.up
+
+    def _word_tvec(self, w):
+        # T-images of the standard bracketing [std(u), std(v)] of a Lyndon word
+        n = self.gcm.n
+        u, v = _std_factorization(w)
+        return self._tvec(_content(u, n), self._word(u), _content(v, n), self._word(v))
+
+    def _word(self, w):
+        # coordinates of the image of a Lyndon word at its content
+        got = self._words.get(w)
+        if got is None:
+            if len(w) == 1:
+                got = {0: 1}
+            else:
+                deg = _content(w, self.gcm.n)
+                data = self._degree(deg)  # may record the word itself
+                got = self._words.get(w)
+                if got is None:
+                    got = self._solve(deg, self._word_tvec(w), data) if data.mult else {}
+            self._words[w] = got
+        return got
+
+    def _tvec(self, da, x, db, y):
+        # T-images of [x, y], x and y coordinates at positive degrees da and
+        # db, from T_j [x, y] = [T_j x, y] + [x, T_j y], as {j: coordinates}
+        if sum(da) == 1:
+            return self._raise_tvec(da.index(1), x[0], db, y)
+        out = {}
+        for j in range(self.gcm.n):
+            acc = {}
+            if da[j]:
+                tx = self._lower(da, x, j)
+                if tx:
+                    _add_scaled(acc, 1, self._pbr(_minus(da, j), tx, db, y))
+            if db[j]:
+                ty = self._lower(db, y, j)
+                if ty:
+                    _add_scaled(acc, 1, self._pbr(da, x, _minus(db, j), ty))
+            if acc:
+                out[j] = acc
+        return out
+
+    def _raise_tvec(self, i, c, deg, y):
+        # T-images of [c e_i, y], y coordinates at deg:
+        # T_j [e_i, y] = [e_i, T_j y] + delta_ij <deg, alpha_i^v> y
+        out = {}
+        lower = self.degrees[deg].lower
+        simple = sum(deg) == 1
+        for k, b in y.items():
+            for j, t in lower[k].items():
+                acc = out.setdefault(j, {})
+                if simple:
+                    # T_j e_j = h_j and [e_i, h_j] = -a_ji e_i
+                    _add_scaled(acc, -c * b * self.gcm.entries[j][i], {0: 1})
+                    continue
+                low = _minus(deg, j)
+                up = self._raising(low[:i] + (low[i] + 1,) + low[i + 1:]).get(i)
+                if up:
+                    for m, v in t.items():
+                        _add_scaled(acc, c * b * v, up[m])
+        w = self._pairing(i, deg)
+        if w:
+            _add_scaled(out.setdefault(i, {}), c * w, y)
+        return {j: t for j, t in out.items() if t}
+
+    def _lower(self, deg, x, j):
+        # T_j x, x given by coordinates at a built degree
+        lower = self.degrees[deg].lower
+        out = {}
+        for k, c in x.items():
+            t = lower[k].get(j)
+            if t:
+                _add_scaled(out, c, t)
+        return out
+
+    def _pbr(self, da, x, db, y):
+        # [x, y] as coordinates at da + db, inside the window; a zero degree
+        # means coordinates over the simple coroots
+        if not any(da):
+            s = sum(c * self._pairing(m, db) for m, c in x.items())
+            return {k: s * v for k, v in y.items()} if s else {}
+        if not any(db):
+            s = sum(c * self._pairing(m, da) for m, c in y.items())
+            return {k: -s * v for k, v in x.items()} if s else {}
+        out = {}
+        for k, a in x.items():
+            for l, b in y.items():
+                _add_scaled(out, a * b, self._pp(da, k, db, l)[0])
+        return out
+
+    def _pairing(self, m, deg):
+        # <deg, alpha_m^v>, m 0-based
+        row = self.gcm.entries[m]
+        return sum(row[t] * deg[t] for t in range(len(deg)))
+
+    def _solve(self, deg, lower, data):
+        # coordinates over the basis of the element with these T-images
+        got = data.basis.solve(_flat(lower, self.gcm.n))
+        if got is None:
+            raise InternalInconsistency(
+                f"T-image escaped the quotient basis at degree {list(deg)}",
+                degree=list(deg),
+            )
+        return got
 
     # -- basic elements ----------------------------------------------------
 
@@ -616,32 +673,6 @@ class TruncatedAlgebra:
     def multiplicity(self, beta: RootVec) -> int:
         return self.table.multiplicity(beta)
 
-    # -- reduction to quotient coordinates ----------------------------------
-
-    def _reduce_poly(self, deg, poly, den=1):
-        """Quotient image of poly / den at the degree, poly a positive free
-        Lie polynomial with integer coefficients."""
-        data = self._degree(deg)
-        if data.mult == 0:
-            return {}
-        num, nden = data.echelon.reduce(poly)
-        got = data.solver.solve(num)
-        if got is None:
-            raise InternalInconsistency(
-                "reduced polynomial escaped the quotient basis "
-                f"at degree {list(deg)}",
-                degree=list(deg),
-            )
-        coords, s = got
-        # poly / den = sum_k coords[k] num_k / (s nden den), num_k = den_k rep_k
-        scale = s * nden * den
-        reps = data.basis_reps
-        return {
-            ("p", deg, k): Fraction(c * reps[k][1], scale)
-            for k, c in enumerate(coords)
-            if c
-        }
-
     def _mirror_elt(self, x: AlgElement) -> AlgElement:
         out = {}
         for k, v in x.terms.items():
@@ -664,12 +695,7 @@ class TruncatedAlgebra:
         acc: dict = {}
 
         def add(terms, scale):
-            for k, v in terms.items():
-                s = acc.get(k, 0) + scale * v
-                if s:
-                    acc[k] = s
-                else:
-                    acc.pop(k, None)
+            _add_scaled(acc, scale, terms)
 
         xh, xp, xn = x.split()
         yh, yp, yn = y.split()
@@ -696,16 +722,14 @@ class TruncatedAlgebra:
                 if val:
                     add({nk: Fraction(val)}, hc * nc)
         # [p, p] and [n, n]
-        for ak, ac in xp.items():
-            for bk, bc in yp.items():
-                terms, cut = self._pp(ak, bk)
-                truncated = truncated or cut
-                add(terms, ac * bc)
-        for ak, ac in xn.items():
-            for bk, bc in yn.items():
-                terms, cut = self._pp(("p",) + ak[1:], ("p",) + bk[1:])
-                truncated = truncated or cut
-                add({("n",) + k[1:]: v for k, v in terms.items()}, ac * bc)
+        for kind, xs, ys in (("p", xp, yp), ("n", xn, yn)):
+            for ak, ac in xs.items():
+                for bk, bc in ys.items():
+                    coords, cut = self._pp(ak[1], ak[2], bk[1], bk[2])
+                    truncated = truncated or cut
+                    if coords:
+                        deg = tuple(a + b for a, b in zip(ak[1], bk[1]))
+                        add({(kind, deg, k): v for k, v in coords.items()}, ac * bc)
         # [p, n] and [n, p]
         for ak, ac in xp.items():
             for bk, bc in yn.items():
@@ -715,103 +739,66 @@ class TruncatedAlgebra:
                 add(self._pn(bk, ak).terms, -ac * bc)
         return AlgElement(self, acc), truncated
 
-    def _pp(self, ak, bk):
-        # bracket of two positive basis vectors; bool reports a height cut
-        if ak == bk:
-            return {}, False
-        key = (ak, bk)
+    def _pp(self, da, k, db, l):
+        # bracket of two positive basis vectors as coordinates at da + db;
+        # the bool reports a height cut
+        key = (da, k, db, l)
         got = self._pp_cache.get(key)
         if got is not None:
             return got
-        da, db = ak[1], bk[1]
-        deg = tuple(da[t] + db[t] for t in range(len(da)))
-        if sum(deg) > self.height:
-            res = ({}, True)
-        elif self._mult(deg) == 0:
+        deg = tuple(a + b for a, b in zip(da, db))
+        if da == db and k == l:
             res = ({}, False)
+        elif sum(deg) > self.height:
+            res = ({}, True)
+        elif not self._mult(deg):
+            res = ({}, False)
+        elif sum(da) == 1:
+            res = (self._raising(deg)[da.index(1)][l], False)
+        elif sum(db) == 1:
+            res = ({c: -v for c, v in self._raising(deg)[db.index(1)][k].items()}, False)
         else:
-            pa, den_a = self._degree(da).basis_reps[ak[2]]
-            pb, den_b = self._degree(db).basis_reps[bk[2]]
-            res = (self._reduce_poly(deg, _poly_bracket(pa, pb), den_a * den_b), False)
+            data = self._degree(deg)
+            res = (self._solve(deg, self._tvec(da, {k: 1}, db, {l: 1}), data), False)
         self._pp_cache[key] = res
-        rev = ({k: -v for k, v in res[0].items()}, res[1])
-        self._pp_cache[(bk, ak)] = rev
+        self._pp_cache[(db, l, da, k)] = ({c: -v for c, v in res[0].items()}, res[1])
         return res
 
     def _decomposition(self, deg):
         """Per basis vector at deg (height at least two), the list of (i, y_i)
         with y_i at deg - alpha_i and the vector equal to sum_i [e_i, y_i]:
-        one Gauss-Jordan pass over the quotient coordinates of the candidates
-        [e_i, b], b over the basis below."""
+        its T-images solved over those of the candidates [e_i, b]."""
         data = self._degree(deg)
-        if data.decomp is not None:
-            return data.decomp
-        n = self.gcm.n
-        rows = {}  # pivot key -> (coordinates, combination of candidates)
-        for i in range(n):
-            if not deg[i] or len(rows) == data.mult:
-                continue
-            gen = ("p", tuple(1 if t == i else 0 for t in range(n)), 0)
-            lower = tuple(deg[t] - (1 if t == i else 0) for t in range(n))
-            for k in range(self._degree(lower).mult):
-                b = ("p", lower, k)
-                vec = dict(self._pp(gen, b)[0])
-                comb = {(i + 1, b): Fraction(1)}
-                for piv, (rvec, rcomb) in rows.items():
-                    c = vec.get(piv)
-                    if c:
-                        _sub_multiple(vec, c, rvec)
-                        _sub_multiple(comb, c, rcomb)
-                if not vec:
-                    continue
-                piv = min(vec)
-                c = vec[piv]
-                vec = {key: v / c for key, v in vec.items()}
-                comb = {key: v / c for key, v in comb.items()}
-                for rvec, rcomb in rows.values():
-                    c = rvec.get(piv)
-                    if c:
-                        _sub_multiple(rvec, c, vec)
-                        _sub_multiple(rcomb, c, comb)
-                rows[piv] = (vec, comb)
-                if len(rows) == data.mult:
-                    break
-        if len(rows) != data.mult:
-            raise InternalInconsistency(
-                "brackets of the generators with the basis below do not span "
-                f"degree {list(deg)}: rank {len(rows)}, multiplicity {data.mult}",
-                degree=list(deg),
-                rank=len(rows),
-                expected=data.mult,
-            )
-        data.decomp = []
-        for k in range(data.mult):
-            parts: dict = {}
-            for (i, b), c in rows[("p", deg, k)][1].items():
-                parts.setdefault(i, {})[b] = c
-            data.decomp.append([(i, AlgElement(self, y)) for i, y in sorted(parts.items())])
+        if data.decomp is None:
+            n = self.gcm.n
+            span, keys = _span_of([_flat(t, n) for _, _, t, _ in data.candidates])
+            decomp = []
+            for k in range(data.mult):
+                comb = span.solve(_flat(data.lower[k], n))
+                if comb is None:
+                    raise InternalInconsistency(
+                        "brackets of the generators with the basis below do not "
+                        f"span degree {list(deg)}",
+                        degree=list(deg),
+                        rank=len(span),
+                        expected=data.mult,
+                    )
+                parts: dict = {}
+                for c, v in comb.items():
+                    i, l, _, _ = data.candidates[keys[c]]
+                    parts.setdefault(i, {})[("p", _minus(deg, i), l)] = Fraction(v)
+                decomp.append([(i + 1, AlgElement(self, y)) for i, y in sorted(parts.items())])
+            data.decomp = decomp
         return data.decomp
 
     def _t_basis(self, pk, j):
-        # [p-basis vector, f_j]; with p = sum_i [e_i, y_i],
-        # [[e_i, y], f_j] = [e_i, [y, f_j]] + delta_ij [h_i, y]
-        key = (pk, j)
-        got = self._t_cache.get(key)
-        if got is not None:
-            return got
+        # [p-basis vector, f_j] = T_j p, recorded by the build
         deg = pk[1]
+        coords = self._degree(deg).lower[pk[2]].get(j - 1, {})
         if sum(deg) == 1:
-            out = self.h(j) if deg[j - 1] else self.zero()
-        else:
-            br = self._br
-            fj = self.f(j)
-            out = self.zero()
-            for i, y in self._decomposition(deg)[pk[2]]:
-                out = out + br(self.e(i), br(y, fj))
-                if i == j:
-                    out = out + br(self.h(i), y)
-        self._t_cache[key] = out
-        return out
+            return AlgElement(self, {("h", m + 1): Fraction(v) for m, v in coords.items()})
+        low = _minus(deg, j - 1)
+        return AlgElement(self, {("p", low, k): Fraction(v) for k, v in coords.items()})
 
     def _pn(self, pk, nk):
         # [p-basis vector x, n-basis vector]; with n = sum_i [f_i, z_i], z_i
@@ -839,6 +826,7 @@ class TruncatedAlgebra:
         return self._bracket_checked(x, y)[0]
 
 
+
 # ---------------------------------------------------------------------------
 # construction entry point
 
@@ -847,10 +835,9 @@ def build_truncated(g: GCM, height: int, mode: str = "strict",
     """Build the truncation at the given height bound, every degree of the
     window included.
 
-    mode "strict" echelonizes every degree and cross-checks each quotient
-    dimension against the multiplicity table; "fast" short-circuits dead
-    degrees.  The estimated dimension must stay within the cap (argument,
-    else KMJM_CAP from the environment, else 20000).
+    Every degree's candidate rank is cross-checked against the multiplicity
+    table.  mode is "strict" or "fast"; both select the same construction.
+    The estimated dimension must stay within the cap (resolve_cap).
     """
     alg = truncated_on_demand(g, height, mode, cap, table)
     for deg in _window(g.n, height):
@@ -859,8 +846,7 @@ def build_truncated(g: GCM, height: int, mode: str = "strict",
 
 
 def _window(n: int, height: int):
-    # every degree of the window (nonnegative, height 1..height) by height;
-    # degrees of multiplicity zero still matter for the ideal bookkeeping
+    # every degree of the window (nonnegative, height 1..height) by height
     level = [(0,) * n]
     for _ in range(height):
         level = sorted({d[:i] + (d[i] + 1,) + d[i + 1:] for d in level for i in range(n)})
@@ -885,9 +871,7 @@ def truncated_on_demand(g: GCM, height: int, mode: str = "strict",
             height=height,
             mult={v: m for v, m in table.mult.items() if v.height <= height},
         )
-    if cap is None:
-        env = os.environ.get("KMJM_CAP")
-        cap = int(env) if env else DEFAULT_CAP
+    cap = resolve_cap(cap)
     estimated = g.n + 2 * sum(table.mult.values())
     if estimated > cap:
         raise ResourceCap(

@@ -90,17 +90,22 @@ def _gcm(matrix) -> GCM:
     return validate_gcm([list(row) for row in matrix])
 
 
-@lru_cache(maxsize=None)
+_TABLES: dict = {}
+
+
 def _oracle(matrix, height: int) -> MultTable:
-    return peterson_multiplicities(_gcm(matrix), height)
+    # one table per matrix, the tallest asked for so far: make_pi_system
+    # accepts a taller table and truncated_on_demand trims one
+    table = _TABLES.get(matrix)
+    if table is None or table.height < height:
+        table = _TABLES[matrix] = peterson_multiplicities(_gcm(matrix), height)
+    return table
 
 
 @lru_cache(maxsize=None)
 def _algebra(matrix, height: int, cap=None) -> TruncatedAlgebra:
     # a suite touches few degrees of each algebra; those are built on first use
-    return truncated_on_demand(
-        _gcm(matrix), height, mode="fast", cap=cap, table=_oracle(matrix, height)
-    )
+    return truncated_on_demand(_gcm(matrix), height, cap=cap, table=_oracle(matrix, height))
 
 
 def _rank2_matrix(a: int, b: int):

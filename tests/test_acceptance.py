@@ -28,6 +28,7 @@ from kmjm import (
     validate_gcm,
 )
 from kmjm.lattice import RootVec
+from kmjm.realize import _flat, _span_of
 from kmjm.sl2 import verify_triple_elements
 from kmjm.sweeps import SUITES, SweepConfig
 
@@ -66,11 +67,14 @@ def test_criterion_1_realization_matches_oracle():
             alg = build_truncated(g, height, mode="strict")
             fresh = peterson_multiplicities(g, height)
             for deg, data in alg.degrees.items():
-                # echelon arithmetic on one side, the recursion on the other
-                echelon_dim = (
-                    data.dim_free - data.echelon.rank if data.dim_free else 0
-                )
-                assert echelon_dim == fresh.mult.get(RootVec(deg), 0), (
+                # the exact rank of the brackets [e_i, b] on one side, the
+                # recursion on the other; a simple root has no candidates
+                if sum(deg) == 1:
+                    rank = len(data.chosen)
+                else:
+                    flat = [_flat(t, g.n) for _, _, t, _ in data.candidates]
+                    rank = len(_span_of(flat)[0])
+                assert rank == fresh.mult.get(RootVec(deg), 0), (
                     f"graded dimension mismatch at {list(deg)} for {matrix}"
                 )
             assert all(r.coeffs in alg.degrees for r in fresh.roots())
@@ -95,6 +99,12 @@ def test_criterion_4_random_slices_are_finite_pi_systems():
 def test_criterion_5_random_triples_extend():
     with criterion(5, "regdomthm sweep"):
         _run_suite("regdomthm", 500)
+
+
+def test_criterion_5b_rank2_hyperbolic_triples():
+    # triples realized on rank-2 hyperbolic truncations of height 12
+    with criterion("5b", "rank2-theorem sweep"):
+        _run_suite("rank2-theorem", 2116)
 
 
 def test_criterion_6_exceptional_triples(algebra):

@@ -3,7 +3,6 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given
@@ -25,7 +24,7 @@ from kmjm import (
     simple_reflection,
     validate_gcm,
 )
-from kmjm.realize import _Echelon, _Solver, lyndon_words, truncated_on_demand
+from kmjm.realize import DEFAULT_CAP, _Span, lyndon_words, resolve_cap, truncated_on_demand
 from kmjm.roots import coroot_coords
 
 
@@ -91,22 +90,6 @@ def _bases(alg):
     pos = [x for d in degs for x in alg.positive_basis(rootvec(d))]
     neg = [y for d in degs for y in alg.negative_basis(rootvec(d))]
     return pos, neg
-
-
-def test_strict_matches_fast():
-    g = validate_gcm(H3)
-    strict = build_truncated(g, 5, mode="strict")
-    fast = build_truncated(g, 5, mode="fast")
-    assert strict.dim == fast.dim
-    assert set(strict.degrees) == set(fast.degrees)
-    for deg in strict.degrees:
-        assert strict.degrees[deg].chosen == fast.degrees[deg].chosen
-
-    def tables(alg):
-        pos, neg = _bases(alg)
-        return [alg.bracket(x, y).to_serial() for x in pos for y in pos + neg]
-
-    assert tables(strict) == tables(fast)
 
 
 def test_exp_ad_edge_cases(algebra):
@@ -226,6 +209,21 @@ def test_resource_cap(monkeypatch):
     monkeypatch.delenv("KMJM_CAP")
 
 
+def test_cap_resolution(monkeypatch):
+    # the argument, else KMJM_CAP, else DEFAULT_CAP; a KMJM_CAP that is not
+    # an integer is an error that names it
+    monkeypatch.delenv("KMJM_CAP", raising=False)
+    assert resolve_cap() == DEFAULT_CAP
+    assert resolve_cap(7) == 7
+    monkeypatch.setenv("KMJM_CAP", "10")
+    assert resolve_cap() == 10
+    assert resolve_cap(7) == 7
+    monkeypatch.setenv("KMJM_CAP", "abc")
+    assert resolve_cap(7) == 7
+    with pytest.raises(ValueError, match="KMJM_CAP must be an integer, got 'abc'"):
+        truncated_on_demand(validate_gcm(A2), 4)
+
+
 def test_build_argument_validation():
     g = validate_gcm(A2)
     with pytest.raises(ValueError):
@@ -275,29 +273,22 @@ def test_pinned_basis_and_structure_constants(matrix, height, mode, digest):
     assert _structure_digest(alg) == digest
 
 
-_WORDS = [w for k in (2, 3) for w in itertools.product((1, 2, 3), repeat=k)]
-_coeffs = st.integers(-6, -1) | st.integers(1, 6)
-_polys = st.dictionaries(st.sampled_from(_WORDS), _coeffs, max_size=6)
+_coeffs = st.fractions(-6, 6, max_denominator=4)
+_vecs = st.dictionaries(st.integers(0, 7), _coeffs, max_size=6)
 
 
-def _reference_normal_form(rows, poly):
-    # reduced row echelon form over Fraction with lex-least pivots: every
-    # row is 1 at its own pivot and 0 at all the others
-    basis = []
-    for row in rows:
-        r = {w: Fraction(c) for w, c in row.items() if c}
-        for b in basis:
-            _axpy(r, -r.get(min(b), 0), b)
-        if not r:
-            continue
-        r = {w: c / r[min(r)] for w, c in r.items()}
-        for b in basis:
-            _axpy(b, -b.get(min(r), 0), r)
-        basis.append(r)
-    nf = {w: Fraction(c) for w, c in poly.items() if c}
-    for b in basis:
-        _axpy(nf, -nf.get(min(b), 0), b)
-    return nf, len(basis)
+def _reference_rank(vecs):
+    # Gaussian elimination over Fraction
+    rows = []
+    for vec in vecs:
+        r = {c: v for c, v in vec.items() if v}
+        for b in rows:
+            piv = min(b)
+            if r.get(piv):
+                _axpy(r, -r[piv] / b[piv], b)
+        if r:
+            rows.append(r)
+    return len(rows)
 
 
 def _axpy(y, a, x):
@@ -309,40 +300,35 @@ def _axpy(y, a, x):
             y.pop(w, None)
 
 
-@given(st.lists(_polys, max_size=8), _polys)
-def test_echelon_normal_form_matches_fraction_reference(rows, poly):
-    ech = _Echelon()
-    for row in rows:
-        if row:
-            ech.insert(row)
-    num, den = ech.reduce(poly)
-    want, rank = _reference_normal_form(rows, poly)
-    assert ech.rank == rank
-    assert {w: Fraction(c, den) for w, c in num.items()} == want
-    assert den > 0 and gcd(den, *num.values()) == 1
-    assert not set(num) & set(ech.rows)
+def _combine(coords, vecs):
+    out = {}
+    for k, c in coords.items():
+        _axpy(out, c, vecs[k])
+    return out
 
 
-@given(st.lists(_polys, max_size=6), st.lists(st.integers(-5, 5), min_size=6, max_size=6))
-def test_solver_coordinates_and_span(vecs, xs):
-    solver = _Solver(len(vecs))
+@given(st.lists(_vecs, max_size=8), st.lists(_coeffs, min_size=8, max_size=8))
+def test_span_matches_fraction_reference(vecs, xs):
+    # the integer elimination against Fraction arithmetic: its rank, which
+    # inputs it keeps, and the coordinates it returns
+    span = _Span()
     kept = []
     for v in vecs:
-        outside = solver.solve(v) is None
-        assert solver.insert(v, len(kept)) == outside
-        if outside:
+        got = span.add(v)
+        if got is None:
             kept.append(v)
-    target = {}
-    for x, v in zip(xs, kept):
-        _axpy(target, x, v)
-    coords, s = solver.solve(target)
-    back = {}
-    for c, v in zip(coords, kept):
-        _axpy(back, Fraction(c, s), v)
-    assert back == target
-    assert coords[len(kept):] == [0] * (len(vecs) - len(kept))
-    # a word no vector uses takes the target out of the span
-    assert solver.solve({**target, (4, 4): 1}) is None
+        else:
+            assert _combine(got, kept) == {c: x for c, x in v.items() if x}
+    assert len(span) == len(kept) == _reference_rank(vecs)
+    assert _reference_rank(kept) == len(kept)
+    target = _combine(dict(enumerate(xs[:len(kept)])), kept)
+    assert span.solve(target) == {k: x for k, x in enumerate(xs[:len(kept)]) if x}
+    # a column no vector uses takes the target out of the span
+    assert span.solve({**target, 99: Fraction(1)}) is None
+    untracked = _Span(track=False)
+    for v in vecs:
+        untracked.add(v)
+    assert len(untracked) == len(kept)
 
 
 def _mixed_digest(alg):
@@ -375,22 +361,25 @@ def test_pinned_mixed_brackets(matrix, height, mode, digest):
     assert _mixed_digest(alg) == digest
 
 
-def test_decomposition_needs_spanning_candidates(monkeypatch):
-    # if the brackets [e_i, b] of the generators with the basis below do not
-    # span a degree, no mixed bracket can be computed there
+def test_decomposition_needs_spanning_candidates():
+    # a basis vector whose T-images are not a combination of the candidates'
+    # has no decomposition p = sum_i [e_i, y_i], so no mixed bracket with its
+    # mirror can be computed
     alg = build_truncated(validate_gcm(A2), 3, mode="fast")
-    monkeypatch.setattr(alg, "_pp", lambda ak, bk: ({}, False))
-    p = alg.positive_basis(rootvec((1, 1)))[0]
+    alg.degrees[(1, 1)].candidates = []
+    n = alg.negative_basis(rootvec((1, 1)))[0]
     with pytest.raises(InternalInconsistency, match="do not span") as err:
-        alg.bracket(p, alg.f(1))
+        alg.bracket(alg.e(1), n)
     assert err.value.context["degree"] == [1, 1]
 
 
 def test_escaped_quotient_basis_still_raises(algebra):
-    # a word polynomial that is not a Lie element has no quotient image
+    # T-images that are not those of an element of the degree have no
+    # coordinates over its basis
     alg = algebra(A2, 4)
+    data = alg.degrees[(1, 1)]
     with pytest.raises(InternalInconsistency, match="escaped the quotient basis"):
-        alg._reduce_poly((1, 1), {(2, 1): 1})
+        alg._solve((1, 1), {0: {0: Fraction(1)}, 1: {0: Fraction(1)}}, data)
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(lambda c: 0 < sum(c) <= 8))

@@ -2,7 +2,8 @@ import hashlib
 import random
 from collections import Counter
 
-from kmjm import NotReduced, WeylWord, simple_root
+from kmjm import NotReduced, WeylWord, peterson_multiplicities, simple_root
+from kmjm import sweeps
 from kmjm.sweeps import (
     _POOL,
     SUITES,
@@ -139,3 +140,24 @@ def test_word_growth_matches_full_inversion_sets():
                 assert _random_reduced_word(g, ours, 10, max_height) == (
                     _reference_reduced_word(g, ref, 10, max_height)
                 )
+
+
+def test_oracle_keeps_one_table_per_matrix(monkeypatch):
+    # the tallest table asked for so far serves every request it covers
+    heights = []
+
+    def counting(g, height):
+        heights.append(height)
+        return peterson_multiplicities(g, height)
+
+    monkeypatch.setattr(sweeps, "_TABLES", {})
+    monkeypatch.setattr(sweeps, "peterson_multiplicities", counting)
+    m = ((2, -3), (-3, 2))
+    t6 = sweeps._oracle(m, 6)
+    assert sweeps._oracle(m, 4) is t6
+    t9 = sweeps._oracle(m, 9)
+    assert t9.height == 9
+    assert sweeps._oracle(m, 6) is t9
+    sweeps._oracle(((2, -1), (-1, 2)), 3)
+    assert heights == [6, 9, 3]
+    assert len(sweeps._TABLES) == 2
