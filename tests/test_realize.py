@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -307,10 +308,30 @@ def _combine(coords, vecs):
     return out
 
 
-@given(st.lists(_vecs, max_size=8), st.lists(_coeffs, min_size=8, max_size=8))
-def test_span_matches_fraction_reference(vecs, xs):
+@given(st.lists(_vecs, max_size=8))
+def test_echelon_normal_form_matches_fraction_reference(vecs):
     # the integer elimination against Fraction arithmetic: its rank, which
-    # inputs it keeps, and the coordinates it returns
+    # inputs it keeps, and the normal form of its rows
+    span = _Span()
+    kept = [v for v in vecs if span.add(v) is None]
+    assert len(span) == len(kept) == _reference_rank(vecs)
+    assert _reference_rank(kept) == len(kept)
+    for piv, (row, comb) in span.rows.items():
+        # an integer row, pivot at its least column and positive, divided
+        # by the gcd of its entries and of its combination
+        assert piv == min(row) and row[piv] > 0
+        assert all(type(v) is int for v in row.values())
+        assert gcd(*row.values(), *comb.values()) == 1
+    untracked = _Span(track=False)
+    for v in vecs:
+        untracked.add(v)
+    assert len(untracked) == len(kept)
+
+
+@given(st.lists(_vecs, max_size=8), st.lists(_coeffs, min_size=8, max_size=8))
+def test_solver_coordinates_and_span(vecs, xs):
+    # coordinates of dependent inputs and of a seeded combination over the
+    # kept inputs, and None outside their span
     span = _Span()
     kept = []
     for v in vecs:
@@ -319,16 +340,10 @@ def test_span_matches_fraction_reference(vecs, xs):
             kept.append(v)
         else:
             assert _combine(got, kept) == {c: x for c, x in v.items() if x}
-    assert len(span) == len(kept) == _reference_rank(vecs)
-    assert _reference_rank(kept) == len(kept)
     target = _combine(dict(enumerate(xs[:len(kept)])), kept)
     assert span.solve(target) == {k: x for k, x in enumerate(xs[:len(kept)]) if x}
     # a column no vector uses takes the target out of the span
     assert span.solve({**target, 99: Fraction(1)}) is None
-    untracked = _Span(track=False)
-    for v in vecs:
-        untracked.add(v)
-    assert len(untracked) == len(kept)
 
 
 def _mixed_digest(alg):
