@@ -12,16 +12,28 @@ Two independent routes into the root system:
   every k above divides L = lcm(1..height): the recurrence runs on the
   integers C_beta = L c_beta, whose right-hand side is L^2 times the one above.
 
+  The convolution never evaluates the form on a pair.  Each vector is packed
+  into one int, its coordinates the digits in base height + 1; a sum of two
+  vectors inside the window has no digit above height, so keys add without a
+  carry and, within one height, order as the vectors do (lex).  The norm
+  identity 2 (b'|b'') = N(beta) - N(b') - N(b''), N(b) = (b|b), turns the
+  right-hand side into N(beta) A_beta - B_beta plus N(b) C_b^2 at beta = 2b,
+  where A = sum C'C'' and B = sum (N' + N'') C'C'' run over the unordered
+  pairs b' != b''.  Per pair that is one key addition and two multiply-adds
+  into A and B; the norm is stored once per vector with nonzero C, and the
+  form is evaluated once per vector the convolution reaches.
+
 The resulting MultTable is the membership oracle the other modules consume:
 mult(beta) = 0 exactly for non-roots, real roots have mult 1 and positive norm.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 
 from . import gcm as gcm_mod
 from .errors import (
@@ -91,89 +103,73 @@ class MultTable:
         return self.mult.get(v, 0)
 
 
-def _positive_vectors_by_height(n: int, height: int):
-    # all nonzero vectors in Z^n_{>=0} of height h, for h = 1..height
-    levels: list[list[tuple[int, ...]]] = [[] for _ in range(height + 1)]
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            levels_entry = prefix + (remaining,)
-            levels[sum(levels_entry)].append(levels_entry)
-            return
-        for c in range(remaining + 1):
-            rec(prefix + (c,), remaining - c, slots - 1)
-
-    for h in range(1, height + 1):
-        rec((), h, n)
-    return levels
-
-
 def peterson_multiplicities(g: GCM, height: int) -> MultTable:
-    """Multiplicity table for all positive roots of height <= height."""
+    """Multiplicity table for all positive roots of height <= height.
+
+    The content of ``mult`` is fixed; its insertion order is not part of the
+    contract: every consumer sorts it, looks vectors up in it or is otherwise
+    order-free.  Vectors are visited in (height, lex) order, so a failed
+    check reports the first vector at which the recurrence breaks.
+    """
     if height < 1:
         return MultTable(g, max(height, 0), {})
     n = g.n
     sym = gcm_mod.symmetrized(g)
     two_d = [2 * di for di in g.symmetrizer]
     scale = lcm(*range(1, height + 1))
+    # N(v) = sum of q v_i v_j over i <= j
+    norm_terms = [
+        (i, j, sym[i][j] if i == j else 2 * sym[i][j]) for i in range(n) for j in range(i, n)
+    ]
+    # packed key: the digits of v in base height + 1, v_1 most significant
+    weights = [(height + 1) ** (n - 1 - i) for i in range(n)]
 
-    levels = _positive_vectors_by_height(n, height)
-    # scaled c-values C = scale * c (scale is L above), kept only when nonzero
-    c: dict[tuple[int, ...], int] = {}
-    mult: dict[RootVec, int] = {}
-    sym_image: dict[tuple[int, ...], tuple[int, ...]] = {}
+    def unpack(key: int) -> tuple[int, ...]:
+        v = []
+        for w in weights:
+            digit, key = divmod(key, w)
+            v.append(digit)
+        return tuple(v)
 
-    def s_dot(v: tuple[int, ...]) -> tuple[int, ...]:
-        img = sym_image.get(v)
-        if img is None:
-            img = tuple(sum(sym[i][j] * v[j] for j in range(n)) for i in range(n))
-            sym_image[v] = img
-        return img
-
-    for i in range(1, n + 1):
-        a = simple_root(n, i)
-        c[a.coeffs] = scale
-        mult[a] = 1
-
-    # rhs[beta] accumulated by convolving lower levels of nonzero c
-    live_by_height: list[list[tuple[int, ...]]] = [[] for _ in range(height + 1)]
-    for i in range(1, n + 1):
-        live_by_height[1].append(simple_root(n, i).coeffs)
+    mult: dict[int, int] = {}  # by packed key, roots only
+    # live[h]: (key, C, N) for each vector of height h with C != 0, N its norm
+    live: list[list[tuple[int, int, int]]] = [[] for _ in range(height + 1)]
+    for i in range(n):
+        mult[weights[i]] = 1
+        live[1].append((weights[i], scale, sym[i][i]))
 
     for h in range(2, height + 1):
-        rhs: dict[tuple[int, ...], int] = {}
-        for h1 in range(1, h):
-            h2 = h - h1
-            if h2 < h1:
-                break
-            for b1 in live_by_height[h1]:
-                s1 = s_dot(b1)
-                c1 = c[b1]
-                for b2 in live_by_height[h2]:
-                    if h1 == h2 and b2 < b1:
-                        continue
-                    pairing = sum(map(mul, s1, b2))
-                    if pairing == 0:
-                        continue
-                    term = pairing * c1 * c[b2]
-                    if h1 != h2 or b1 != b2:
-                        term *= 2  # both orderings
-                    key = tuple(map(add, b1, b2))
-                    rhs[key] = rhs.get(key, 0) + term
-        for v in levels[h]:
-            r = rhs.get(v, 0)
+        # the sums A and B of the module docstring, by key of b' + b''
+        pair_a: defaultdict[int, int] = defaultdict(int)
+        pair_b: defaultdict[int, int] = defaultdict(int)
+        for h1 in range(1, h // 2 + 1):
+            upper = live[h - h1]
+            for i1, (k1, c1, n1) in enumerate(live[h1]):
+                partners = upper
+                if h1 == h - h1:
+                    # the pair (b', b') counts once, as N' C'^2
+                    pair_b[k1 + k1] -= n1 * c1 * c1
+                    partners = upper[i1 + 1 :]
+                for k2, c2, n2 in partners:
+                    key = k1 + k2
+                    p = c1 * c2
+                    pair_a[key] += p
+                    pair_b[key] += p * (n1 + n2)
+        # every vector with a root among its proper divisors is reached: 2u
+        # by the pair (u, u), ku for k >= 3 by (u, (k-1)u)
+        for key in sorted(pair_b):
+            v = unpack(key)
+            nv = sum(q * v[i] * v[j] for i, j, q in norm_terms)
+            r = nv * pair_a[key] - pair_b[key]
             # contribution of proper divisors to the scaled c-value at v
             divpart = 0
             gv = gcd(*v)
             for k in range(2, gv + 1):
                 if gv % k == 0:
-                    sub = RootVec(tuple(x // k for x in v))
-                    divpart += mult.get(sub, 0) * (scale // k)
+                    divpart += mult.get(key // k, 0) * (scale // k)
             if r == 0 and divpart == 0:
                 continue
-            denom = sum(s_dot(v)[j] * v[j] for j in range(n)) - sum(
-                two_d[j] * v[j] for j in range(n)
-            )
+            denom = nv - sum(map(mul, two_d, v))
             if denom == 0:
                 # The recurrence is vacuous here (0 = 0).  At height >= 2 this
                 # happens only off the root system (roots keep (b|b) < (b|2rho)
@@ -197,11 +193,10 @@ def peterson_multiplicities(g: GCM, height: int) -> MultTable:
                     beta=list(v),
                 )
             if m:
-                mult[RootVec(v)] = m
+                mult[key] = m
             if cv:
-                c[v] = cv
-                live_by_height[h].append(v)
-    return MultTable(g, height, mult)
+                live[h].append((key, cv, nv))
+    return MultTable(g, height, {RootVec(unpack(k)): m for k, m in mult.items()})
 
 
 def is_root(table: MultTable, v: RootVec) -> bool:

@@ -323,11 +323,12 @@ def criterion_instances(config: SweepConfig = SweepConfig()):
     return tuple(out)
 
 
-def _oracle_heights(insts) -> dict:
+def _oracle_heights(insts, slices, floor: int = 0) -> dict:
+    # per matrix, twice the tallest slice height and at least floor
     need: dict = {}
-    for inst in insts:
-        hmax = max(bb.height for bb in inst.slice_roots())
-        need[inst.matrix] = max(need.get(inst.matrix, 0), 2 * hmax)
+    for inst, roots in zip(insts, slices):
+        hmax = max(bb.height for bb in roots)
+        need[inst.matrix] = max(need.get(inst.matrix, floor), 2 * hmax)
     return need
 
 
@@ -336,14 +337,15 @@ def _oracle_heights(insts) -> dict:
 
 def run_reg_grade(config: SweepConfig = SweepConfig()) -> SuiteReport:
     insts = criterion_instances(config)
-    need = _oracle_heights(insts)
+    slices = [inst.slice_roots() for inst in insts]
+    need = _oracle_heights(insts, slices)
     failures = []
-    for inst in insts:
+    for inst, roots in zip(insts, slices):
         g = _gcm(inst.matrix)
         table = _oracle(inst.matrix, need[inst.matrix])
         rec = inst.describe()
         try:
-            sigma = make_pi_system(g, inst.slice_roots(), table)
+            sigma = make_pi_system(g, roots, table)
         except KmjmError as err:
             failures.append({**rec, "problem": f"pi-system rejected: {err}"})
             continue
@@ -361,13 +363,16 @@ def run_reg_grade(config: SweepConfig = SweepConfig()) -> SuiteReport:
 
 def run_regdomthm(config: SweepConfig = SweepConfig()) -> SuiteReport:
     insts = criterion_instances(config)
-    need = _oracle_heights(insts)
+    slices = [inst.slice_roots() for inst in insts]
+    # a matrix with a slice of height <= the cutoff is also realized, which
+    # needs a table of the cutoff height; asking for it up front builds each
+    # table once (a matrix with no such slice needs more than twice that)
+    need = _oracle_heights(insts, slices, floor=config.realize_height_cutoff)
     failures = []
-    for inst in insts:
+    for inst, roots in zip(insts, slices):
         g = _gcm(inst.matrix)
         table = _oracle(inst.matrix, need[inst.matrix])
         rec = inst.describe()
-        roots = inst.slice_roots()
         rng = random.Random(config.seed * 1_000_003 + inst.index)
         coeffs = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in roots)
         rec["coeffs"] = list(coeffs)

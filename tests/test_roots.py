@@ -1,12 +1,15 @@
 import hashlib
+from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import A2, A2_AFFINE, A1_AFFINE, H3
 from kmjm import (
     DegenerateDenominator,
+    bilinear_form,
     HeightOutOfRange,
     InternalInconsistency,
     coroot_pairing,
@@ -125,10 +128,13 @@ def _table_digest(tab):
          "7728a9e6ba59026c2b92bd493b4bdd75a05563abef1d018adee55644f8bb0638"),
         (A2_AFFINE, 12,
          "de43dec0e2b979d15ff282379112ce02a0bc38166eb19bce2d6559e763d77744"),
+        (((2, -2, -1), (-2, 2, -3), (-1, -3, 2)), 22,
+         "09603d2ae7a59c2d7b3bb6fc1bb95aec1a85f698a5dcdfba34b5e6bdd6cb1dfb"),
     ],
 )
 def test_pinned_tables(matrix, height, digest):
-    # recorded from the Fraction recurrence before it moved to integers
+    # recorded from the Fraction recurrence before it moved to integers, the
+    # height-22 table from the integer one before its keys were packed
     tab = peterson_multiplicities(validate_gcm(matrix), height)
     assert _table_digest(tab) == digest
 
@@ -153,3 +159,78 @@ def test_recurrence_checks_fire(monkeypatch, matrix, sym, error, message):
     with pytest.raises(error) as info:
         peterson_multiplicities(g, 8)
     assert str(info.value) == message
+
+
+def _naive_multiplicities(g, height):
+    # Peterson's recurrence as printed, in Fractions: ordered pairs, the form
+    # evaluated on each pair, and each multiplicity stripped from its c-value
+    n = g.n
+    c: dict = {}
+    mult: dict = {}
+    for h in range(1, height + 1):
+        for v in sorted(v for v in product(range(h + 1), repeat=n) if sum(v) == h):
+            beta = rootvec(v)
+            divisors = sum(
+                (Fraction(mult.get(tuple(x // k for x in v), 0), k)
+                 for k in range(2, h + 1) if all(x % k == 0 for x in v)),
+                Fraction(0),
+            )
+            if h == 1:
+                cv = Fraction(1)
+            else:
+                rhs = Fraction(0)
+                for b1 in product(*(range(x + 1) for x in v)):
+                    if b1 not in c:
+                        continue
+                    b2 = tuple(x - y for x, y in zip(v, b1))
+                    if b2 in c:
+                        rhs += bilinear_form(g, rootvec(b1), rootvec(b2)) * c[b1] * c[b2]
+                rho2 = 2 * sum(d * x for d, x in zip(g.symmetrizer, v))
+                denom = norm(g, beta) - rho2
+                if denom == 0:
+                    assert rhs == 0, v
+                    cv = divisors
+                else:
+                    cv = rhs / denom
+            m = cv - divisors
+            assert m.denominator == 1 and m >= 0, v
+            if m:
+                mult[v] = int(m)
+            if cv:
+                c[v] = cv
+    return mult
+
+
+def _table_as_dict(tab):
+    return {r.coeffs: m for r, m in tab.mult.items()}
+
+
+def test_recurrence_matches_naive_reference():
+    # every sweep matrix, and two of rank 4, where a packed-key carry in the
+    # base would misplace a coordinate
+    d4 = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
+    a3_affine = ((2, -1, 0, -1), (-1, 2, -1, 0), (0, -1, 2, -1), (-1, 0, -1, 2))
+    cases = [(m, 12 if len(m) <= 2 else 8) for m in _POOL] + [(d4, 6), (a3_affine, 6)]
+    for matrix, height in cases:
+        g = validate_gcm(matrix)
+        tab = peterson_multiplicities(g, height)
+        assert _table_as_dict(tab) == _naive_multiplicities(g, height), matrix
+
+
+@st.composite
+def _symmetric_gcms(draw):
+    n = draw(st.integers(2, 3))
+    rows = [[2] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = -draw(st.integers(0, 4))
+    return rows
+
+
+@settings(max_examples=20)
+@given(_symmetric_gcms(), st.integers(1, 7))
+def test_recurrence_matches_naive_reference_on_symmetric_gcms(matrix, height):
+    g = validate_gcm(matrix)
+    height = min(height, 7 if g.n == 2 else 5)
+    tab = peterson_multiplicities(g, height)
+    assert _table_as_dict(tab) == _naive_multiplicities(g, height)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from collections import Counter
+from functools import lru_cache
 
 from kmjm import NotReduced, WeylWord, peterson_multiplicities, simple_root
 from kmjm import sweeps
@@ -13,6 +14,7 @@ from kmjm.sweeps import (
     _random_reduced_word,
     criterion_instances,
     run_affine_heisenberg,
+    run_regdomthm,
 )
 from kmjm.weyl import apply_word, inversion_set
 
@@ -161,3 +163,23 @@ def test_oracle_keeps_one_table_per_matrix(monkeypatch):
     sweeps._oracle(((2, -1), (-1, 2)), 3)
     assert heights == [6, 9, 3]
     assert len(sweeps._TABLES) == 2
+
+
+def test_regdomthm_builds_one_table_per_matrix(monkeypatch):
+    # each matrix's first oracle request already covers its realize height,
+    # so no table is grown a second time
+    calls = []
+
+    def counting(g, height):
+        calls.append(g.entries)
+        return peterson_multiplicities(g, height)
+
+    monkeypatch.setattr(sweeps, "_TABLES", {})
+    fresh_algebras = lru_cache(maxsize=None)(sweeps._algebra.__wrapped__)
+    monkeypatch.setattr(sweeps, "_algebra", fresh_algebras)
+    monkeypatch.setattr(sweeps, "peterson_multiplicities", counting)
+    config = SweepConfig()
+    assert run_regdomthm(config).ok
+    matrices = {inst.matrix for inst in sweeps.criterion_instances(config)}
+    assert len(calls) == len(matrices) == 25
+    assert set(calls) == matrices
