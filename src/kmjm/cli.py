@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import sweeps
 from ._linalg import rank_exact
-from .errors import HeightOutOfRange, KmjmError, NotPiSystem, NotReduced
+from .errors import KmjmError, NotPiSystem, NotReduced
 from .gcm import norm as root_norm
 from .gcm import validate_gcm
 from .grading import check_finite_grading, phi_w_d
@@ -30,11 +30,12 @@ from .rank2 import (
     family_root,
     gamma_eta,
 )
-from .realize import build_truncated, resolve_cap
+from .realize import build_truncated, resolve_cap, truncated_on_demand
 from .roots import peterson_multiplicities
 from .sl2 import (
     build_triple,
     realize_triple,
+    verify_realized,
     verify_symbolic,
     verify_triple_elements,
 )
@@ -312,9 +313,9 @@ def _cmd_grade(args, rc: RunConfig):
 def _cmd_pisys(args, rc: RunConfig):
     g = _load_gcm(args)
     roots = _roots_json(args.roots, g.n)
-    hmax = max(b.height for b in roots)
-    oracle_h = args.oracle_height if args.oracle_height is not None else 2 * hmax
-    table = peterson_multiplicities(g, oracle_h)
+    table = None
+    if args.oracle_height is not None:
+        table = peterson_multiplicities(g, args.oracle_height)
     try:
         sigma = make_pi_system(g, roots, table)
     except NotPiSystem as err:
@@ -335,14 +336,6 @@ def _cmd_pisys(args, rc: RunConfig):
     }
 
 
-def _realize_verdict(triple, alg) -> str:
-    try:
-        realized = realize_triple(triple, alg, policy="transport")
-    except HeightOutOfRange:
-        realized = realize_triple(triple, alg, policy="basis")
-    return "pass" if verify_triple_elements(alg, realized) else "fail"
-
-
 def _cmd_sl2(args, rc: RunConfig):
     g = _load_gcm(args)
     if args.roots:
@@ -357,15 +350,12 @@ def _cmd_sl2(args, rc: RunConfig):
     else:
         raise UsageError("need either --roots or all of --word/--tau/-d")
     coeffs = _fracs_csv(args.coeffs, "--coeffs") if args.coeffs else None
-    hmax = max(b.height for b in roots)
-    table = peterson_multiplicities(g, 2 * hmax)
-    sigma = make_pi_system(g, roots, table)
-    triple = build_triple(sigma, coeffs)
+    triple = build_triple(make_pi_system(g, roots), coeffs)
     symbolic = "pass" if verify_symbolic(triple) else "fail"
     run_h = args.height if args.height is not None else (rc.height_default or 8)
-    if hmax <= run_h:
-        alg = build_truncated(g, run_h, cap=rc.cap)
-        realized = _realize_verdict(triple, alg)
+    if max(b.height for b in roots) <= run_h:
+        alg = truncated_on_demand(g, run_h, cap=rc.cap)
+        realized = "pass" if verify_realized(triple, alg) else "fail"
     else:
         realized = "skipped(height)"
     return {
@@ -431,16 +421,11 @@ def _cmd_rank2(args, rc: RunConfig):
             word=args.word, tau=args.tau, d=args.degree,
         )
     height = args.height if args.height is not None else (rc.height_default or 12)
-    alg = build_truncated(g, height, cap=rc.cap)
+    alg = truncated_on_demand(g, height, cap=rc.cap)
     if verdict.kind == "Single":
         coeffs = _fracs_csv(args.coeffs, "--coeffs") if args.coeffs else (Fraction(1),)
-        beta = verdict.root
-        table = peterson_multiplicities(g, 2 * beta.height)
-        triple = build_triple(make_pi_system(g, [beta], table), coeffs)
-        try:
-            realized = realize_triple(triple, alg, policy="transport")
-        except HeightOutOfRange:
-            realized = realize_triple(triple, alg, policy="basis")
+        triple = build_triple(make_pi_system(g, [verdict.root]), coeffs)
+        realized = realize_triple(triple, alg)
     else:
         coeffs = _fracs_csv(args.coeffs, "--coeffs") if args.coeffs else (Fraction(1), Fraction(1))
         if len(coeffs) != 2:

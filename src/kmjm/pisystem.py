@@ -11,7 +11,7 @@ from ._linalg import rank_exact
 from .errors import InternalInconsistency, NotPiSystem, OracleTooShort
 from .gcm import GCM, TypeTag, bilinear_form, classify, norm
 from .lattice import RootVec
-from .roots import MultTable, coroot_pairing, is_root
+from .roots import MultTable, coroot_pairing, is_root, peterson_multiplicities
 
 __all__ = ["PiSystem", "make_pi_system", "pi_image", "classify_pi_type"]
 
@@ -31,14 +31,15 @@ class PiSystem:
         return self.induced.entries
 
 
-def make_pi_system(g: GCM, roots: list[RootVec], table: MultTable) -> PiSystem:
+def make_pi_system(g: GCM, roots: list[RootVec], table: MultTable | None = None) -> PiSystem:
     """Validate the candidate set against the multiplicity oracle and package
     it with its induced GCM.
 
-    The oracle must extend to twice the largest candidate height; anything
+    The oracle must extend to twice the largest candidate height.  Without a
+    table, one of exactly that height is computed; a given table that is
     shorter raises OracleTooShort rather than risking a wrong verdict.
     """
-    if table.gcm is not g and table.gcm != g:
+    if table is not None and table.gcm is not g and table.gcm != g:
         raise ValueError("oracle table was built for a different GCM")
     if not roots:
         raise NotPiSystem("a pi-system must contain at least one root")
@@ -46,7 +47,9 @@ def make_pi_system(g: GCM, roots: list[RootVec], table: MultTable) -> PiSystem:
         if len(b.coeffs) != g.n:
             raise ValueError(f"member {k + 1} has rank {len(b.coeffs)}, GCM rank is {g.n}")
     hmax = max(b.height for b in roots)
-    if table.height < 2 * hmax:
+    if table is None:
+        table = peterson_multiplicities(g, 2 * hmax)
+    elif table.height < 2 * hmax:
         raise OracleTooShort(
             f"oracle reaches height {table.height}, need {2 * hmax} "
             f"(twice the largest member height {hmax})",

@@ -23,7 +23,6 @@ from .grading import check_finite_grading, phi_w_d
 from .lattice import Coweight, RootVec, WeylWord
 from .pisystem import make_pi_system
 from .realize import TruncatedAlgebra, exp_ad, real_root_vector, simple_reflection
-from .roots import peterson_multiplicities
 from .sl2 import RealizedTriple, build_triple, realize_triple
 from .weyl import reflect
 
@@ -339,14 +338,8 @@ def _space_ratio(u, v) -> Fraction:
 
 def _singleton_triple(alg: TruncatedAlgebra, beta: RootVec, c: Fraction) -> RealizedTriple:
     # the standard triple on the one-member pi-system {beta}, scaled by c
-    g = alg.gcm
-    table = alg.table
-    if table.height < 2 * beta.height:
-        # the pi-system oracle wants to see twice the height; a fresh rank-2
-        # table is cheap and keeps the algebra's own bound out of the contract
-        table = peterson_multiplicities(g, 2 * beta.height)
-    sigma = make_pi_system(g, [beta], table)
-    return realize_triple(build_triple(sigma, (c,)), alg, policy="transport")
+    sigma = make_pi_system(alg.gcm, [beta])
+    return realize_triple(build_triple(sigma, (c,)), alg)
 
 
 def _conjugated_triple(alg, beta, adj, x, y) -> RealizedTriple:

@@ -409,10 +409,10 @@ def _add_scaled(acc, scale, terms):
 # the algebra
 
 class TruncatedAlgebra:
-    def __init__(self, g: GCM, height: int, mode: str, table: MultTable):
+    def __init__(self, g: GCM, height: int, cap: int, table: MultTable):
         self.gcm = g
         self.height = height
-        self.mode = mode
+        self.cap = cap
         self.table = table
         self.degrees: dict[tuple, _DegreeData] = {}
         self._pp_cache: dict = {}
@@ -485,7 +485,15 @@ class TruncatedAlgebra:
                 expected=expected,
             )
         data.mult = rank
-        for w in _lyndon_iter(deg) if rank else ():
+        for scanned, w in enumerate(_lyndon_iter(deg) if rank else (), 1):
+            if scanned > self.cap:
+                raise ResourceCap(
+                    f"degree {list(deg)} scanned more than {self.cap} Lyndon "
+                    "words for its basis",
+                    degree=list(deg),
+                    scanned=scanned,
+                    cap=self.cap,
+                )
             c, sign = by_word.get(w, (None, 1))
             if c is None:
                 t = self._word_tvec(w)
@@ -837,7 +845,8 @@ def build_truncated(g: GCM, height: int, mode: str = "strict",
 
     Every degree's candidate rank is cross-checked against the multiplicity
     table.  mode is "strict" or "fast"; both select the same construction.
-    The estimated dimension must stay within the cap (resolve_cap).
+    The estimated dimension must stay within the cap (resolve_cap), and so
+    must the number of Lyndon words any one degree scans for its basis.
     """
     alg = truncated_on_demand(g, height, mode, cap, table)
     for deg in _window(g.n, height):
@@ -879,7 +888,7 @@ def truncated_on_demand(g: GCM, height: int, mode: str = "strict",
             estimated=estimated,
             cap=cap,
         )
-    return TruncatedAlgebra(g, height, mode, table)
+    return TruncatedAlgebra(g, height, cap, table)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ over the induced matrix; the triple is then e = sum c_k e_k, f = sum
 (mu_k / c_k) f_k for any nonzero weights c_k, since cross brackets between
 distinct members vanish (their difference is not a root).  Verification
 comes in two flavors: a symbolic check on root data alone, and a realized
-check inside a truncated algebra, where the member root vectors come either
-from reflection-operator transport or straight from the graded basis.
+check inside a truncated algebra, where each member's root vector comes from
+reflection-operator transport, or, for a member whose transport leaves the
+window, straight from the graded basis of its root space.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import solve_exact
-from .errors import SingularB, ZeroElement
+from .errors import HeightOutOfRange, SingularB, ZeroElement
 from .lattice import RootVec
 from .pisystem import PiSystem
 from .realize import (
@@ -117,22 +118,19 @@ def verify_symbolic(triple: SL2Triple) -> bool:
     return True
 
 
-def _member_vectors(triple: SL2Triple, alg: TruncatedAlgebra, policy: str):
-    if policy not in ("transport", "basis"):
-        raise ValueError(f"policy must be 'transport' or 'basis', got {policy!r}")
+def _member_vectors(triple: SL2Triple, alg: TruncatedAlgebra):
     pairs = []
     for b in triple.sigma.roots:
-        if policy == "transport":
+        try:
             pairs.append(real_root_vector(alg, b))
-        else:
+        except HeightOutOfRange:
             vec = alg.positive_basis(b)[0]
             pairs.append((vec, companion_vector(alg, b, vec)))
     return pairs
 
 
-def realize_triple(triple: SL2Triple, alg: TruncatedAlgebra,
-                   policy: str = "transport") -> RealizedTriple:
-    pairs = _member_vectors(triple, alg, policy)
+def realize_triple(triple: SL2Triple, alg: TruncatedAlgebra) -> RealizedTriple:
+    pairs = _member_vectors(triple, alg)
     e = alg.zero()
     f = alg.zero()
     for k, (ep, em) in enumerate(pairs):
@@ -149,8 +147,7 @@ def verify_triple_elements(alg: TruncatedAlgebra, t: RealizedTriple) -> bool:
     return alg.bracket(t.e, t.f) == t.h
 
 
-def verify_realized(triple: SL2Triple, alg: TruncatedAlgebra,
-                    policy: str = "transport") -> bool:
+def verify_realized(triple: SL2Triple, alg: TruncatedAlgebra) -> bool:
     """Realize the triple inside the truncation and check the three bracket
     relations exactly."""
-    return verify_triple_elements(alg, realize_triple(triple, alg, policy))
+    return verify_triple_elements(alg, realize_triple(triple, alg))

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product
 
 from ._linalg import det_exact
-from .errors import HeightOutOfRange, KmjmError, SingularB
+from .errors import KmjmError, SingularB
 from .gcm import FINITE, GCM, validate_gcm
 from .grading import check_finite_grading, grade_of, phi_w_d
 from .lattice import Coweight, RootVec, WeylWord, simple_root
@@ -102,7 +102,7 @@ def _oracle(matrix, height: int) -> MultTable:
     return table
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _algebra(matrix, height: int, cap=None) -> TruncatedAlgebra:
     # a suite touches few degrees of each algebra; those are built on first use
     return truncated_on_demand(_gcm(matrix), height, cap=cap, table=_oracle(matrix, height))
@@ -389,13 +389,7 @@ def run_regdomthm(config: SweepConfig = SweepConfig()) -> SuiteReport:
         if hmax <= config.realize_height_cutoff:
             alg = _algebra(inst.matrix, config.realize_height_cutoff, config.cap)
             try:
-                try:
-                    ok = verify_realized(triple, alg, policy="transport")
-                except HeightOutOfRange:
-                    # the reflection strings of the transport path can poke
-                    # above the window even when every root fits; the basis
-                    # policy stays degree-local
-                    ok = verify_realized(triple, alg, policy="basis")
+                ok = verify_realized(triple, alg)
             except KmjmError as err:
                 failures.append({**rec, "problem": f"realization failed: {err}"})
                 continue
@@ -417,7 +411,7 @@ def _check_single(g, alg, table, beta) -> str | None:
         if not verify_symbolic(triple):
             return "symbolic relations failed"
         if beta.height <= alg.height:
-            if not verify_realized(triple, alg, policy="transport"):
+            if not verify_realized(triple, alg):
                 return "realized relations failed"
     except KmjmError as err:
         return f"{type(err).__name__}: {err}"

@@ -9,6 +9,7 @@ from kmjm import (
     rootvec,
     validate_gcm,
 )
+from kmjm import pisystem
 from kmjm.pisystem import classify_pi_type, pi_image
 
 
@@ -47,6 +48,25 @@ def test_oracle_must_cover_twice_the_height():
     short = peterson_multiplicities(g, 3)
     with pytest.raises(OracleTooShort):
         make_pi_system(g, [rootvec((1, 1))], short)
+
+
+def test_default_oracle_is_twice_the_height(monkeypatch):
+    for matrix, coeffs in ((A2, [(1, 0), (0, 1)]), (H51, [(1, 4)])):
+        g = validate_gcm(matrix)
+        roots = [rootvec(c) for c in coeffs]
+        hmax = max(b.height for b in roots)
+        table = peterson_multiplicities(g, 2 * hmax)
+        assert make_pi_system(g, roots) == make_pi_system(g, roots, table)
+    with pytest.raises(NotPiSystem):
+        make_pi_system(validate_gcm(A2), [rootvec((1, 0)), rootvec((1, 1))])
+    # the member checks never look above hmax, so only a spy sees the height
+    heights = []
+    monkeypatch.setattr(
+        pisystem, "peterson_multiplicities",
+        lambda g, h: heights.append(h) or peterson_multiplicities(g, h),
+    )
+    make_pi_system(validate_gcm(H51), [rootvec((1, 4))])
+    assert heights == [10]
 
 
 def test_singleton_system(oracle):

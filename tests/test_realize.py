@@ -210,6 +210,16 @@ def test_resource_cap(monkeypatch):
     monkeypatch.delenv("KMJM_CAP")
 
 
+def test_resource_cap_bounds_the_lyndon_scan():
+    # affine A1 stays tiny (dimension 92 at height 30) while the Lyndon words
+    # scanned before a degree's first independent one grow without bound
+    with pytest.raises(ResourceCap) as err:
+        build_truncated(validate_gcm(A1_AFFINE), 30, cap=1000)
+    assert err.value.context["cap"] == 1000
+    assert err.value.context["scanned"] == 1001
+    assert sum(err.value.context["degree"]) <= 30
+
+
 def test_cap_resolution(monkeypatch):
     # the argument, else KMJM_CAP, else DEFAULT_CAP; a KMJM_CAP that is not
     # an integer is an error that names it

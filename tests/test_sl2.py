@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import A2, A1_AFFINE, H51
+from conftest import A2, A1_AFFINE, B2, H51
 from kmjm import (
+    HeightOutOfRange,
     SingularB,
     ZeroElement,
     build_triple,
+    companion_vector,
     make_pi_system,
+    real_root_vector,
     realize_triple,
     rootvec,
     solve_mu,
@@ -16,6 +19,8 @@ from kmjm import (
     verify_symbolic,
     verify_triple_elements,
 )
+from kmjm.realize import truncated_on_demand
+from kmjm.roots import coroot_coords
 
 
 def test_solve_mu_basics():
@@ -52,24 +57,47 @@ def test_realize_principal_a2(algebra, oracle):
     ps = make_pi_system(g, [rootvec((1, 0)), rootvec((0, 1))], oracle(A2, 8))
     triple = build_triple(ps, coeffs=(2, 3))
     alg = algebra(A2, 4)
-    for policy in ("transport", "basis"):
-        assert verify_realized(triple, alg, policy=policy)
-        rt = realize_triple(triple, alg, policy=policy)
-        assert verify_triple_elements(alg, rt)
+    assert verify_realized(triple, alg)
+    assert verify_triple_elements(alg, realize_triple(triple, alg))
 
 
 def test_realize_tall_singleton(algebra, oracle):
     g = validate_gcm(H51)
-    ps = make_pi_system(g, [rootvec((1, 4))], oracle(H51, 12))
+    beta = rootvec((1, 4))
+    ps = make_pi_system(g, [beta], oracle(H51, 12))
     triple = build_triple(ps)
     # h is pinned by the grading: beta(h) = 2
     assert triple.h_coords == (Fraction(5), Fraction(4))
     alg = algebra(H51, 10)
-    a = realize_triple(triple, alg, policy="transport")
-    b = realize_triple(triple, alg, policy="basis")
-    for rt in (a, b):
+    assert verify_realized(triple, alg)
+    # two independent routes to the root space, transport and the graded
+    # basis, give proportional vectors whose companions bracket to the coroot
+    coroot = alg.cartan(coroot_coords(g, beta))
+    up, down = real_root_vector(alg, beta)
+    vec = alg.positive_basis(beta)[0]
+    assert alg.bracket(up, down) == coroot
+    assert alg.bracket(vec, companion_vector(alg, beta, vec)) == coroot
+    (key,) = vec.terms
+    assert up == (up.terms[key] / vec.terms[key]) * vec
+
+
+def test_realize_falls_back_per_member():
+    # transport reaches the first member but not the second, whose reflection
+    # string leaves the window: only the second takes its vector from the
+    # graded basis.  At (1,1) of [[2,-3],[-1,2]] the transported vector is not
+    # the basis vector, so a fallback for the whole triple would show in e.
+    cases = ((B2, 3, (1, 0), (1, 2)), ([[2, -3], [-1, 2]], 4, (1, 1), (3, 1)))
+    for matrix, height, low, high in cases:
+        g = validate_gcm(matrix)
+        alg = truncated_on_demand(g, height)
+        low, high = rootvec(low), rootvec(high)
+        moved, _ = real_root_vector(alg, low)
+        with pytest.raises(HeightOutOfRange):
+            real_root_vector(alg, high)
+        triple = build_triple(make_pi_system(g, [low, high]), coeffs=(2, 3))
+        rt = realize_triple(triple, alg)
         assert verify_triple_elements(alg, rt)
-    assert a.h.to_serial() == b.h.to_serial()
+        assert rt.e == 2 * moved + 3 * alg.positive_basis(high)[0]
 
 
 def test_affine_simples_have_singular_b(oracle):
