@@ -377,11 +377,15 @@ def _mixed_digest(alg):
          "61a38f997fc168729707c31a0c5cbe85304576dfb9da4d512fe8e2947665496d"),
         (A2, 4, "strict",
          "2830a3b0f7197c5dfdf4ff2a745d6bfbe7502ca12b33afe05b15c837da084699"),
+        (H51, 8, "fast",
+         "cc41d83f7e02665a9d093203bdc59c10b5e7e7e09430a09d4247b1010118ad17"),
     ],
 )
 def test_pinned_mixed_brackets(matrix, height, mode, digest):
-    # recorded from the Lyndon-word derivation route for [p, n] before the
-    # generator decomposition replaced it: the same mixed brackets, exactly
+    # the first four were recorded from the Lyndon-word derivation route for
+    # [p, n] before the generator decomposition replaced it, the fifth (with
+    # symmetrizer (5, 1)) from the generator decomposition before the
+    # invariant form replaced it: the same mixed brackets, exactly
     alg = build_truncated(validate_gcm(matrix), height, mode=mode)
     assert _mixed_digest(alg) == digest
 
