@@ -43,10 +43,6 @@ class RootVec:
     def is_positive(self) -> bool:
         return self.sign == "positive"
 
-    @property
-    def is_negative(self) -> bool:
-        return self.sign == "negative"
-
     def support(self) -> tuple[int, ...]:
         """1-based indices of nonzero coordinates."""
         return tuple(i + 1 for i, c in enumerate(self.coeffs) if c != 0)
@@ -118,10 +114,6 @@ class Coweight:
     @property
     def is_dominant(self) -> bool:
         return all(v >= 0 for v in self.values)
-
-    @property
-    def is_regular_dominant(self) -> bool:
-        return all(v >= 1 for v in self.values)
 
     def zero_support(self) -> tuple[int, ...]:
         """1-based indices i with alpha_i(tau) = 0."""

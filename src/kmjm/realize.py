@@ -30,13 +30,28 @@ on the degrees below it, so the basis and the structure constants do not
 depend on the order of the requests.  build_truncated builds every degree of
 the window, in height order, before it returns.
 
-The negative part is the mirror image (the generator swap e_i -> f_i is an
-isomorphism onto the negative part, with identical structure constants), so
-it reuses the positive data.  Mixed brackets never leave the height window
-and are computed in quotient coordinates, memoized per pair of basis vectors:
-[p, f_j] is the recorded T-image, and the mirror n = sum_i [f_i, y_i'] of the
-decomposition turns [x, n] into sum_i [[x, f_i], y_i'] + [f_i, [x, y_i']]:
-brackets of basis vectors in lower degrees.
+The negative part is the mirror image (the generator swap e_i <-> f_i,
+h -> -h, is an automorphism, with identical structure constants on the
+positive and negative parts), so it reuses the positive data.  Mixed
+brackets come from the invariant form (Kac, Infinite-dimensional Lie
+algebras, Thm 2.2: every matrix validate_gcm accepts is symmetrizable).  It
+pairs g_gamma with g_-gamma nondegenerately, and [x, y] = (x|y) nu^-1(gamma)
+for x in g_gamma, y in g_-gamma, where nu^-1(alpha_i) = d_i h_i for the
+symmetrizer d.  Per degree one Gram matrix G[k][l] = (p_k | mirror p_l) is
+kept, scaled by L = lcm(d) so that (e_i | f_i) = L / d_i is an integer; it
+follows from the degrees below by invariance,
+(p | [f_i, z]) = ([p, f_i] | z) = (T_i p | z), over the decomposition
+p = sum_i [e_i, y_i].  For x = p_k at alpha = sum_i a_i alpha_i and
+n = mirror p_l at -beta:
+  - alpha = beta: [x, n] = G_alpha[k][l] / L * sum_i a_i d_i h_i;
+  - alpha - beta = gamma > 0: [x, n] = sum_s c_s p_s, and pairing with the
+    mirror of p_t gives c G_gamma = ((x | mirror [p_l, p_t]))_t, where
+    [p_l, p_t] lies at alpha, inside the window;
+  - beta - alpha > 0: the automorphism above maps [x, n] to
+    -[p_l, mirror p_k], which is the case before;
+  - otherwise alpha - beta is not a root and [x, n] = 0.
+Each is memoized per pair of basis vectors, and each G_gamma is solved
+through the elimination above.
 
 Products of two positive (or two negative) elements whose total height
 exceeds the bound are cut to zero: the truncation is the quotient by the
@@ -360,9 +375,10 @@ class _DegreeData:
     # candidates lists (i, l, T-images of [e_i, b_l], word) with b_l the
     # l-th basis vector at deg - alpha_i and word = (w, sign) when [e_i, b_l]
     # is sign times the image of the Lyndon word w, else None.  up[i][l] is
-    # [e_i, b_l] over the basis, and decomp writes each basis vector as
-    # sum_i [e_i, y_i]; both are filled on first use (None until then).
-    __slots__ = ("mult", "chosen", "lower", "up", "basis", "candidates", "decomp")
+    # [e_i, b_l] over the basis, decomp writes each basis vector as
+    # sum_i [e_i, y_i], and gram is the scaled invariant form with the span
+    # of its rows; all three are filled on first use (None until then).
+    __slots__ = ("mult", "chosen", "lower", "up", "basis", "candidates", "decomp", "gram")
 
     def __init__(self):
         self.mult = 0
@@ -372,6 +388,7 @@ class _DegreeData:
         self.basis = _Span()
         self.candidates = []
         self.decomp = None
+        self.gram = None
 
 
 def _span_of(vecs, track=True):
@@ -396,6 +413,10 @@ def _flat(lower, n):
     return {-(k * n + j): v for j, coords in lower.items() for k, v in coords.items()}
 
 
+def _dot(coords, vec):
+    return sum(v * vec[k] for k, v in coords.items())
+
+
 def _add_scaled(acc, scale, terms):
     for k, v in terms.items():
         s = acc.get(k, 0) + scale * v
@@ -418,6 +439,7 @@ class TruncatedAlgebra:
         self._pp_cache: dict = {}
         self._pn_cache: dict = {}
         self._words: dict = {}
+        self._form_unit = lcm(*g.symmetrizer)  # L, with (e_i | f_i) = L / d_i
 
     # -- construction -----------------------------------------------------
 
@@ -741,10 +763,10 @@ class TruncatedAlgebra:
         # [p, n] and [n, p]
         for ak, ac in xp.items():
             for bk, bc in yn.items():
-                add(self._pn(ak, bk).terms, ac * bc)
+                add(self._pn(ak, bk), ac * bc)
         for ak, ac in xn.items():
             for bk, bc in yp.items():
-                add(self._pn(bk, ak).terms, -ac * bc)
+                add(self._pn(bk, ak), -ac * bc)
         return AlgElement(self, acc), truncated
 
     def _pp(self, da, k, db, l):
@@ -773,9 +795,10 @@ class TruncatedAlgebra:
         return res
 
     def _decomposition(self, deg):
-        """Per basis vector at deg (height at least two), the list of (i, y_i)
-        with y_i at deg - alpha_i and the vector equal to sum_i [e_i, y_i]:
-        its T-images solved over those of the candidates [e_i, b]."""
+        """Per basis vector at deg (height at least two), the list of (i, y)
+        with y coordinates at deg - alpha_i (i 0-based) and the vector equal
+        to sum_i [e_i, y]: its T-images solved over those of the candidates
+        [e_i, b]."""
         data = self._degree(deg)
         if data.decomp is None:
             n = self.gcm.n
@@ -794,45 +817,73 @@ class TruncatedAlgebra:
                 parts: dict = {}
                 for c, v in comb.items():
                     i, l, _, _ = data.candidates[keys[c]]
-                    parts.setdefault(i, {})[("p", _minus(deg, i), l)] = Fraction(v)
-                decomp.append([(i + 1, AlgElement(self, y)) for i, y in sorted(parts.items())])
+                    parts.setdefault(i, {})[l] = v
+                decomp.append(sorted(parts.items()))
             data.decomp = decomp
         return data.decomp
 
-    def _t_basis(self, pk, j):
-        # [p-basis vector, f_j] = T_j p, recorded by the build
-        deg = pk[1]
-        coords = self._degree(deg).lower[pk[2]].get(j - 1, {})
-        if sum(deg) == 1:
-            return AlgElement(self, {("h", m + 1): Fraction(v) for m, v in coords.items()})
-        low = _minus(deg, j - 1)
-        return AlgElement(self, {("p", low, k): Fraction(v) for k, v in coords.items()})
+    def _gram(self, deg):
+        """(G, span) at deg: G[k][l] = L (p_k | mirror p_l), and the span of
+        the rows of G.  With mirror p_l = sum_i [f_i, mirror y_i] from the
+        decomposition, G[k][l] = sum_i (T_i p_k | mirror y_i), a form on the
+        degrees below."""
+        data = self._degree(deg)
+        if data.gram is None:
+            m = data.mult
+            if sum(deg) == 1:
+                gram = [[self._form_unit // self.gcm.symmetrizer[deg.index(1)]]]
+            else:
+                gram = [[0] * m for _ in range(m)]
+                for l, parts in enumerate(self._decomposition(deg)):
+                    for i, y in parts:
+                        # the form of each basis vector below with mirror y
+                        w = [_dot(y, row) for row in self._gram(_minus(deg, i))[0]]
+                        for k in range(m):
+                            t = data.lower[k].get(i)
+                            if t:
+                                gram[k][l] += _dot(t, w)
+                gram = [[_rational(v, 1) for v in row] for row in gram]  # ints stay int
+            span = _Span()
+            for row in gram:
+                span.add(dict(enumerate(row)))
+            if len(span) != m:
+                raise InternalInconsistency(
+                    f"the invariant form is degenerate at degree {list(deg)}",
+                    degree=list(deg),
+                    rank=len(span),
+                    expected=m,
+                )
+            data.gram = (gram, span)
+        return data.gram
 
     def _pn(self, pk, nk):
-        # [p-basis vector x, n-basis vector]; with n = sum_i [f_i, z_i], z_i
-        # the mirror of y_i, [x, [f_i, z]] = [[x, f_i], z] + [f_i, [x, z]]
+        # [x, n] for x = p_k at alpha and n = mirror p_l at -beta, by the
+        # cases of the module docstring; as {key: coefficient}
         key = (pk, nk)
         got = self._pn_cache.get(key)
         if got is not None:
             return got
-        deg = nk[1]
-        if sum(deg) == 1:
-            out = self._t_basis(pk, deg.index(1) + 1)
+        _, da, k = pk
+        _, db, l = nk
+        gam = tuple(a - b for a, b in zip(da, db))
+        if da == db:
+            c = self._gram(da)[0][k][l]
+            d = self.gcm.symmetrizer
+            out = {("h", i + 1): _rational(c * a * d[i], self._form_unit)
+                   for i, a in enumerate(da) if a}
+        elif min(gam) >= 0 and self._mult(gam):
+            row = self._gram(da)[0][k]
+            rhs = {t: _dot(self._pp(db, l, gam, t)[0], row) for t in range(self._mult(gam))}
+            out = {("p", gam, s): v for s, v in self._gram(gam)[1].solve(rhs).items()}
+        elif max(gam) <= 0:
+            # the automorphism e_i <-> f_i, h -> -h maps [x, n] to
+            # [mirror x, p_l] = -[p_l, mirror x]
+            swapped = self._pn(("p", db, l), ("n", da, k))
+            out = {("n",) + t[1:]: -v for t, v in swapped.items()}
         else:
-            br = self._br
-            x = AlgElement(self, {pk: Fraction(1)})
-            out = self.zero()
-            for i, y in self._decomposition(deg)[nk[2]]:
-                z = self._mirror_elt(y)
-                out = out + br(self._t_basis(pk, i), z) + br(self.f(i), br(x, z))
+            out = {}
         self._pn_cache[key] = out
         return out
-
-    def _br(self, x, y):
-        # the recursion's own brackets stay off the public method, so that a
-        # wrapper around bracket sees only the calls made from outside
-        return self._bracket_checked(x, y)[0]
-
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import A2, A1_AFFINE, A2_AFFINE, H3, H32, H51
@@ -25,7 +25,15 @@ from kmjm import (
     simple_reflection,
     validate_gcm,
 )
-from kmjm.realize import DEFAULT_CAP, _Span, lyndon_words, resolve_cap, truncated_on_demand
+from kmjm.realize import (
+    DEFAULT_CAP,
+    AlgElement,
+    _minus,
+    _Span,
+    lyndon_words,
+    resolve_cap,
+    truncated_on_demand,
+)
 from kmjm.roots import coroot_coords
 
 
@@ -356,6 +364,11 @@ def test_solver_coordinates_and_span(vecs, xs):
     assert span.solve({**target, 99: Fraction(1)}) is None
 
 
+def _basis_key(x):
+    (key,) = x.terms
+    return key
+
+
 def _mixed_digest(alg):
     # every [p_a, n_b] over the positive and negative bases, in a fixed order
     out = hashlib.sha256()
@@ -390,6 +403,103 @@ def test_pinned_mixed_brackets(matrix, height, mode, digest):
     assert _mixed_digest(alg) == digest
 
 
+def _ref_t_image(alg, pk, i):
+    # [p, f_i] = T_i p, recorded by the build (i 0-based)
+    deg = pk[1]
+    coords = alg._degree(deg).lower[pk[2]].get(i, {})
+    if sum(deg) == 1:
+        return AlgElement(alg, {("h", m + 1): Fraction(v) for m, v in coords.items()})
+    return AlgElement(alg, {("p", _minus(deg, i), k): Fraction(v) for k, v in coords.items()})
+
+
+def _ref_bracket(alg, x, y, memo):
+    # the bracket with every [p, n] and [n, p] term taken from _ref_pn
+    out = alg.zero()
+    for a, ac in x.terms.items():
+        for b, bc in y.terms.items():
+            if (a[0], b[0]) == ("p", "n"):
+                term = _ref_pn(alg, a, b, memo)
+            elif (a[0], b[0]) == ("n", "p"):
+                term = -_ref_pn(alg, b, a, memo)
+            else:
+                term = alg.bracket(AlgElement(alg, {a: 1}), AlgElement(alg, {b: 1}))
+            out = out + (ac * bc) * term
+    return out
+
+
+def _ref_pn(alg, pk, nk, memo):
+    # [p, n] by recursion, the route the invariant form replaced: with
+    # n = sum_i [f_i, z_i] and z_i the mirror of y_i in the decomposition,
+    # [x, [f_i, z]] = [[x, f_i], z] + [f_i, [x, z]]
+    key = (pk, nk)
+    if key not in memo:
+        deg = nk[1]
+        if sum(deg) == 1:
+            out = _ref_t_image(alg, pk, deg.index(1))
+        else:
+            x = AlgElement(alg, {pk: Fraction(1)})
+            out = alg.zero()
+            for i, y in alg._decomposition(deg)[nk[2]]:
+                z = AlgElement(alg, {("n", _minus(deg, i), m): Fraction(v) for m, v in y.items()})
+                out = (out + _ref_bracket(alg, _ref_t_image(alg, pk, i), z, memo)
+                       + _ref_bracket(alg, alg.f(i + 1), _ref_bracket(alg, x, z, memo), memo))
+        memo[key] = out
+    return memo[key]
+
+
+def _assert_routes_agree(alg):
+    memo = {}
+    pos, neg = _bases(alg)
+    for x in pos:
+        for y in neg:
+            assert alg.bracket(x, y) == _ref_pn(alg, _basis_key(x), _basis_key(y), memo)
+
+
+@pytest.mark.parametrize(
+    "matrix, height", [(H3, 8), (A2_AFFINE, 7), (WILD3, 5), (A2, 4), (H51, 8)]
+)
+def test_mixed_brackets_match_the_recursion(matrix, height):
+    # the invariant form against the recursion through lower degrees, on
+    # every basis pair of the pinned algebras
+    _assert_routes_agree(build_truncated(validate_gcm(matrix), height))
+
+
+@st.composite
+def _symmetrizable(draw):
+    # A = D^-1 B for a symmetrizer D and a symmetric B whose off-diagonal
+    # entries are multiples of lcm(d_i, d_j), so that A is integral
+    n = draw(st.integers(2, 3))
+    d = [draw(st.integers(1, 3)) for _ in range(n)]
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        b = draw(st.integers(0, 2)) * lcm(d[i], d[j])
+        a[i][j], a[j][i] = -b // d[i], -b // d[j]
+    return a
+
+
+@settings(max_examples=20)
+@example([[2, -1, 0], [-2, 2, -1], [0, -1, 2]], 5)
+@example(H32, 5)
+@given(_symmetrizable(), st.integers(1, 5))
+def test_mixed_brackets_match_the_recursion_sampled(matrix, height):
+    _assert_routes_agree(build_truncated(validate_gcm(matrix), height))
+
+
+def test_degenerate_form_raises():
+    # a decomposition whose two basis vectors coincide makes the Gram matrix
+    # of their degree singular, and no mixed bracket through it is trusted
+    alg = build_truncated(validate_gcm(A2_AFFINE), 4)
+    deg = (1, 1, 1)
+    decomp = alg._decomposition(deg)
+    assert len(decomp) == 2
+    decomp[1] = decomp[0]
+    x = alg.positive_basis(rootvec(deg))[0]
+    n = alg.negative_basis(rootvec(deg))[0]
+    with pytest.raises(InternalInconsistency, match="degenerate") as err:
+        alg.bracket(x, n)
+    assert err.value.context == {"degree": [1, 1, 1], "rank": 1, "expected": 2}
+
+
 def test_decomposition_needs_spanning_candidates():
     # a basis vector whose T-images are not a combination of the candidates'
     # has no decomposition p = sum_i [e_i, y_i], so no mixed bracket with its
@@ -420,11 +530,6 @@ def test_lyndon_words_match_definition(content):
         if all(w < w[k:] + w[:k] for k in range(1, len(w)))
     )
     assert lyndon_words(content) == want
-
-
-def _basis_key(x):
-    (key,) = x.terms
-    return key
 
 
 @pytest.mark.parametrize("matrix, height", [(H3, 8), (A2_AFFINE, 7), (WILD3, 5)])
