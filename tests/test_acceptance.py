@@ -4,6 +4,8 @@
 add -s to also see the timing lines when everything is green.
 """
 
+import hashlib
+import json
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -48,7 +50,7 @@ def criterion(num, name, budget=None):
     assert not late, f"time budget exceeded: {elapsed:.2f}s >= {budget}s"
 
 
-def _run_suite(name, expected_cases):
+def _run_suite(name, expected_cases, digest):
     report = SUITES[name](SweepConfig())
     assert report.cases == expected_cases, (
         f"suite {name} ran {report.cases} cases, expected {expected_cases}"
@@ -57,6 +59,9 @@ def _run_suite(name, expected_cases):
         f"suite {name}: {len(report.failures)} failure(s), "
         f"first: {report.failures[0]}"
     )
+    # the whole report at the default seed, pinned
+    got = hashlib.sha256(json.dumps(report.as_dict(), sort_keys=True).encode())
+    assert got.hexdigest() == digest, f"suite {name}: the report changed"
 
 
 def test_criterion_1_realization_matches_oracle():
@@ -83,28 +88,48 @@ def test_criterion_1_realization_matches_oracle():
 
 def test_criterion_2_single_member_slices():
     with criterion(2, "symprop sweep", budget=60):
-        _run_suite("symprop", 78750)
+        _run_suite(
+            "symprop",
+            78750,
+            "a806296f85a19477f22e2947fe2a445f9605eeee6525d57bacd0bbd2c303678a",
+        )
 
 
 def test_criterion_3_exceptional_slice_classification():
     with criterion(3, "permissable sweep", budget=120):
-        _run_suite("permissable", 157500)
+        _run_suite(
+            "permissable",
+            157500,
+            "7ee7ee4104a0057dadf88636013c4272fc7f765b6352f28e78af88afdcd8d255",
+        )
 
 
 def test_criterion_4_random_slices_are_finite_pi_systems():
     with criterion(4, "reg-grade sweep", budget=120):
-        _run_suite("reg-grade", 500)
+        _run_suite(
+            "reg-grade",
+            500,
+            "f9391f835e26a11090d3b66af79778266a03abda154d59036bbf45681bc362ef",
+        )
 
 
 def test_criterion_5_random_triples_extend():
     with criterion(5, "regdomthm sweep"):
-        _run_suite("regdomthm", 500)
+        _run_suite(
+            "regdomthm",
+            500,
+            "ccba43a6936abb05bb08cb027cebd6ad003d6ce4b421335215dd1ec00d0b1ba7",
+        )
 
 
 def test_criterion_5b_rank2_hyperbolic_triples():
     # triples realized on rank-2 hyperbolic truncations of height 12
     with criterion("5b", "rank2-theorem sweep"):
-        _run_suite("rank2-theorem", 2116)
+        _run_suite(
+            "rank2-theorem",
+            2116,
+            "3a6851b09e141467acbb893b18f9f908ddabaa29b732eb35ebc173e1e240d90f",
+        )
 
 
 def test_criterion_6_exceptional_triples(algebra):
