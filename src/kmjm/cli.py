@@ -269,6 +269,8 @@ def _cmd_roots(args, rc: RunConfig):
     height = args.height if args.height is not None else rc.height_default
     if height is None:
         raise UsageError("--height is required")
+    if height < 0:
+        raise UsageError(f"--height must be >= 0, got {height}")
     table = peterson_multiplicities(g, height)
     rows = []
     for v in table.roots():
@@ -314,6 +316,8 @@ def _cmd_pisys(args, rc: RunConfig):
     roots = _roots_json(args.roots, g.n)
     table = None
     if args.oracle_height is not None:
+        if args.oracle_height < 0:
+            raise UsageError(f"--oracle-height must be >= 0, got {args.oracle_height}")
         table = peterson_multiplicities(g, args.oracle_height)
     try:
         sigma = make_pi_system(g, roots, table)

@@ -149,12 +149,16 @@ def _classify_block(entries: tuple[tuple[int, ...], ...], idx: list[int]) -> str
     # symmetrized block's (D positive diagonal), so Sylvester applies:
     # all > 0  <=> positive definite  <=> finite;
     # first k-1 > 0 and det = 0  <=> PSD of corank 1 (Cauchy interlacing) <=> affine.
+    # A zero minor before the last rules out both, so the block is
+    # indefinite; the elimination stops at that zero and leaves the later
+    # minors unknown (None), which no case below needs.
     block = [[entries[i][j] for j in idx] for i in idx]
-    minors = leading_principal_minors(block)
-    if all(m > 0 for m in minors):
-        return FINITE
-    if all(m > 0 for m in minors[:-1]) and minors[-1] == 0:
-        return AFFINE
+    *head, last = leading_principal_minors(block)
+    if all(m > 0 for m in head):
+        if last > 0:
+            return FINITE
+        if last == 0:
+            return AFFINE
     return INDEFINITE
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._linalg import rank_exact
+from ._linalg import _span_of
 from .errors import InternalInconsistency, NotPiSystem, OracleTooShort
 from .gcm import GCM, TypeTag, bilinear_form, classify, norm
 from .lattice import RootVec
@@ -83,8 +83,8 @@ def make_pi_system(g: GCM, roots: list[RootVec], table: MultTable | None = None)
                     first=list(roots[k].coeffs),
                     second=list(roots[j].coeffs),
                 )
-    coeff_rows = [list(b.coeffs) for b in roots]
-    if rank_exact(coeff_rows) != len(roots):
+    span, _ = _span_of([dict(enumerate(b.coeffs)) for b in roots])
+    if len(span) != len(roots):
         raise NotPiSystem("members are linearly dependent")
     m = len(roots)
     entries = []

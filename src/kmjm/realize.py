@@ -20,8 +20,9 @@ from T_j[x, y] = [T_j x, y] + [x, T_j y], memoized per word.  Writing every
 candidate over that basis gives the raising matrices of ad e_i, and writing
 the basis over the candidates gives p = sum_i [e_i, y_i]; the bracket of two
 positive basis vectors is its T-image, from the same identity, solved in
-its degree.  All of it runs through one exact elimination, fraction-free on
-integers, so a Fraction appears only in the coordinates it returns.
+its degree.  All of it runs through the package's one exact elimination,
+_Span in _linalg, fraction-free on integers, so a Fraction appears only in
+the coordinates it returns.
 
 Degrees are built on first use: a bracket that needs one builds it after
 every degree below it, so an algebra from truncated_on_demand costs only the
@@ -67,9 +68,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import lcm
 
+from ._linalg import _rational, _Span, _span_of
 from .errors import (
     HeightOutOfRange,
     InternalInconsistency,
@@ -159,115 +160,6 @@ def _std_factorization(w):
         if w[k:] < w[best:]:
             best = k
     return w[:best], w[best:]
-
-
-# ---------------------------------------------------------------------------
-# exact elimination
-
-def _sub_multiple(vec, c, row):
-    # vec -= c * row in place, dropping zero coefficients
-    for w, rc in row.items():
-        v = vec.get(w, 0) - c * rc
-        if v:
-            vec[w] = v
-        else:
-            vec.pop(w, None)
-
-
-def _rational(num, den):
-    # num / den as an int when it is one: the build's coordinates are mostly
-    # integers, and int arithmetic is far cheaper than Fraction arithmetic
-    q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
-
-
-class _Span:
-    """The span of rational vectors (dict column -> int or Fraction), added
-    one at a time, as an integer row echelon.
-
-    Input k is stored scaled to integers, u_k = scales[k] * input_k; each row
-    is an integer vector with the integer combination of the u_k it equals,
-    and its pivot is its least column.  Rows are divided by the gcd of their
-    entries, with the sign that makes the pivot positive, so the elimination
-    stays fraction-free without growing."""
-
-    def __init__(self, track=True):
-        self.rows = {}  # pivot column -> (vector, combination)
-        self.scales = []
-        self.track = track  # without it, only the rank is kept
-
-    def __len__(self):
-        return len(self.scales)
-
-    def _reduce(self, vec):
-        # (den, rest, comb, s) with s * den * vec = rest + sum_k comb[k] u_k
-        if all(type(v) is int for v in vec.values()):
-            den = 1
-            rest = {c: v for c, v in vec.items() if v}
-        else:
-            den = lcm(*(v.denominator for v in vec.values()))
-            rest = {c: v.numerator * (den // v.denominator) for c, v in vec.items() if v}
-        comb = {}
-        s = 1
-        rows = self.rows
-        # pivots in ascending order; a row only reaches columns above its own
-        todo = [c for c in rest if c in rows]
-        heapify(todo)
-        while todo:
-            piv = heappop(todo)
-            c = rest.get(piv)
-            if not c:
-                continue
-            rvec, rcomb = rows[piv]
-            for k in rvec:
-                if k != piv and k in rows and k not in rest:
-                    heappush(todo, k)
-            a = rvec[piv]
-            g = gcd(a, c)
-            a //= g
-            c //= g
-            if a != 1:
-                rest = {k: a * v for k, v in rest.items()}
-                if comb:
-                    comb = {k: a * v for k, v in comb.items()}
-                s *= a
-            _sub_multiple(rest, c, rvec)
-            if rcomb:
-                _sub_multiple(comb, -c, rcomb)
-        return den, rest, comb, s
-
-    def _coords(self, den, comb, s):
-        scales = self.scales
-        return {k: _rational(v * scales[k], s * den) for k, v in comb.items()}
-
-    def add(self, vec):
-        """Add a vector.  None when it is independent of those before it (it
-        becomes input len(self) - 1), else its coordinates over them."""
-        den, rest, comb, s = self._reduce(vec)
-        if not rest:
-            return self._coords(den, comb, s)
-        # rest = s u_new - sum_k comb[k] u_k, with u_new = den * vec
-        if self.track:
-            comb = {k: -v for k, v in comb.items()}
-            comb[len(self.scales)] = s
-        self.scales.append(den)
-        piv = min(rest)
-        g = gcd(*rest.values(), *comb.values())
-        if rest[piv] < 0:
-            g = -g
-        if g != 1:
-            rest = {k: v // g for k, v in rest.items()}
-            comb = {k: v // g for k, v in comb.items()}
-        self.rows[piv] = (rest, comb)
-        return None
-
-    def solve(self, vec):
-        """Coordinates of the vector over the inputs, as a dict input index ->
-        int or Fraction, or None when it is outside their span."""
-        den, rest, comb, s = self._reduce(vec)
-        if rest:
-            return None
-        return self._coords(den, comb, s)
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +266,14 @@ class _DegreeData:
     # 0-based).  basis spans the basis T-images and solves for coordinates.
     # candidates lists (i, l, T-images of [e_i, b_l], word) with b_l the
     # l-th basis vector at deg - alpha_i and word = (w, sign) when [e_i, b_l]
-    # is sign times the image of the Lyndon word w, else None.  up[i][l] is
-    # [e_i, b_l] over the basis, decomp writes each basis vector as
-    # sum_i [e_i, y_i], and gram is the scaled invariant form with the span
-    # of its rows; all three are filled on first use (None until then).
-    __slots__ = ("mult", "chosen", "lower", "up", "basis", "candidates", "decomp", "gram")
+    # is sign times the image of the Lyndon word w, else None; spanning is
+    # the span of the candidates' T-images with the candidate index of each
+    # of its inputs.  up[i][l] is [e_i, b_l] over the basis, decomp writes
+    # each basis vector as sum_i [e_i, y_i], and gram is the scaled invariant
+    # form with the span of its rows; all three are filled on first use (None
+    # until then).
+    __slots__ = ("mult", "chosen", "lower", "up", "basis", "candidates", "spanning",
+                 "decomp", "gram")
 
     def __init__(self):
         self.mult = 0
@@ -387,15 +282,9 @@ class _DegreeData:
         self.up = None
         self.basis = _Span()
         self.candidates = []
+        self.spanning = None
         self.decomp = None
         self.gram = None
-
-
-def _span_of(vecs, track=True):
-    # the span of the vectors, with the position of each of its inputs
-    span = _Span(track)
-    keys = [c for c, vec in enumerate(vecs) if span.add(vec) is None]
-    return span, keys
 
 
 def _minus(deg, i):
@@ -496,7 +385,8 @@ class TruncatedAlgebra:
                         by_word[word[0]] = (len(cands), word[1])
                     cands.append((i, l, self._raise_tvec(i, 1, below, {l: 1}), word))
         flat = [_flat(t, n) for _, _, t, _ in cands]
-        rank = len(_span_of(flat, track=False)[0])
+        data.spanning = _span_of(flat)
+        rank = len(data.spanning[0])
         if rank != expected:
             raise InternalInconsistency(
                 "candidate rank disagrees with the multiplicity table "
@@ -798,11 +688,11 @@ class TruncatedAlgebra:
         """Per basis vector at deg (height at least two), the list of (i, y)
         with y coordinates at deg - alpha_i (i 0-based) and the vector equal
         to sum_i [e_i, y]: its T-images solved over those of the candidates
-        [e_i, b]."""
+        [e_i, b], in the span the build kept."""
         data = self._degree(deg)
         if data.decomp is None:
             n = self.gcm.n
-            span, keys = _span_of([_flat(t, n) for _, _, t, _ in data.candidates])
+            span, keys = data.spanning
             decomp = []
             for k in range(data.mult):
                 comb = span.solve(_flat(data.lower[k], n))
@@ -843,9 +733,7 @@ class TruncatedAlgebra:
                             if t:
                                 gram[k][l] += _dot(t, w)
                 gram = [[_rational(v, 1) for v in row] for row in gram]  # ints stay int
-            span = _Span()
-            for row in gram:
-                span.add(dict(enumerate(row)))
+            span, _ = _span_of([dict(enumerate(row)) for row in gram])
             if len(span) != m:
                 raise InternalInconsistency(
                     f"the invariant form is degenerate at degree {list(deg)}",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import solve_exact
+from ._linalg import _span_of
 from .errors import HeightOutOfRange, SingularB, ZeroElement
 from .lattice import RootVec
 from .pisystem import PiSystem
@@ -41,16 +41,17 @@ __all__ = [
 
 
 def solve_mu(b_entries) -> tuple[Fraction, ...]:
-    """Solve B^T mu = (2, ..., 2); raises SingularB when B is singular."""
+    """Solve B^T mu = (2, ..., 2), that is sum_k mu_k B[k] = (2, ..., 2) over
+    the rows of B; raises SingularB when B is singular."""
     m = len(b_entries)
-    bt = [[Fraction(b_entries[k][j]) for k in range(m)] for j in range(m)]
-    sol = solve_exact(bt, [Fraction(2)] * m)
-    if sol is None:
+    span, _ = _span_of([dict(enumerate(row)) for row in b_entries])
+    if len(span) < m:
         raise SingularB(
             "the induced matrix is singular, no grading element exists",
             b=[list(r) for r in b_entries],
         )
-    return tuple(sol)
+    mu = span.solve(dict.fromkeys(range(m), 2))
+    return tuple(Fraction(mu.get(k, 0)) for k in range(m))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,8 @@ from kmjm import (
     validate_gcm,
 )
 from kmjm.lattice import RootVec
-from kmjm.realize import _flat, _span_of
+from kmjm._linalg import _span_of
+from kmjm.realize import _flat
 from kmjm.sl2 import verify_triple_elements
 from kmjm.sweeps import SUITES, SweepConfig
 

@@ -221,6 +221,32 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def test_negative_heights_are_usage_errors(capsys):
+    code, out, err = run(capsys, "roots", "--gcm-inline", H3_INLINE, "--height", "-2")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "kmjm: error: --height must be >= 0, got -2"
+    code, out, err = run(
+        capsys, "pisys", "--gcm-inline", H3_INLINE, "--roots", "[[1,0]]",
+        "--oracle-height", "-1",
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "kmjm: error: --oracle-height must be >= 0, got -1"
+
+
+def test_height_zero_is_unchanged(capsys):
+    # an empty table: no roots, and an oracle too short for any member
+    code, out, _ = run(capsys, "roots", "--gcm-inline", H3_INLINE, "--height", "0")
+    assert code == 0 and out_json(out) == []
+    code, out, err = run(
+        capsys, "pisys", "--gcm-inline", H3_INLINE, "--roots", "[[1,0]]",
+        "--oracle-height", "0",
+    )
+    assert code == 1 and out == ""
+    payload = json.loads(err.splitlines()[-1])
+    assert payload["error"] == "oracle_too_short"
+    assert payload["context"] == {"table_height": 0, "needed": 2}
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
