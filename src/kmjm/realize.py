@@ -268,10 +268,10 @@ class _DegreeData:
     # l-th basis vector at deg - alpha_i and word = (w, sign) when [e_i, b_l]
     # is sign times the image of the Lyndon word w, else None; spanning is
     # the span of the candidates' T-images with the candidate index of each
-    # of its inputs.  up[i][l] is [e_i, b_l] over the basis, decomp writes
-    # each basis vector as sum_i [e_i, y_i], and gram is the scaled invariant
-    # form with the span of its rows; all three are filled on first use (None
-    # until then).
+    # of its inputs, kept until decomp is filled.  up[i][l] is [e_i, b_l]
+    # over the basis, decomp writes each basis vector as sum_i [e_i, y_i],
+    # and gram is the scaled invariant form with the span of its rows; all
+    # three are filled on first use (None until then).
     __slots__ = ("mult", "chosen", "lower", "up", "basis", "candidates", "spanning",
                  "decomp", "gram")
 
@@ -710,6 +710,7 @@ class TruncatedAlgebra:
                     parts.setdefault(i, {})[l] = v
                 decomp.append(sorted(parts.items()))
             data.decomp = decomp
+            data.spanning = None  # only the decomposition reads it
         return data.decomp
 
     def _gram(self, deg):
