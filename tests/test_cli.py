@@ -1,4 +1,6 @@
+import hashlib
 import json
+import sys
 
 import pytest
 
@@ -339,3 +341,36 @@ def test_domain_error_payload_shape(capsys):
     payload = json.loads(err.splitlines()[-1])
     assert set(payload) == {"error", "message", "context"}
     assert payload["error"] == "not_gcm"
+
+
+# SHA-256 of `kmjm [SUBCOMMAND] --help` at COLUMNS=80, recorded under Python
+# 3.10-3.12.  Python 3.13 changed argparse's layout of short options with a
+# long alias (`-d, --degree DEGREE`) and of required options in the usage
+# line, so it has its own table.
+_HELP_DIGESTS = {
+    "": "1cab916ba599f91bf768a2166cbad4bfe6dbb2c683ec9237fcfbaa5fb9ae8292",
+    "roots": "a47039d9757a0df8509aabd4d24bcd32b9913c48393fd86e4bdf7edaf3bdb63b",
+    "weyl": "7b448b3c148498213c0fde054f19d4194427a85209e7fb76a1c7ae3edd687ae0",
+    "grade": "24c54e078d1f91513d33f9ca956ef1f7bf3172b7363afb1c6020499c008cb1c3",
+    "pisys": "f9ee63c009ce20b530222ec4dbe02fe3761a5a772377ba8fd0cc13761d986f81",
+    "sl2": "f3b953379fb4afe62b348df7936347b6ac5207d143defb03ed108a9a462d0f1e",
+    "realize": "ff7a551fb2a79e3571806e6bf62bb6aad05fb43c3f2715382e38a7603d612444",
+    "rank2": "d2664e1535d24b49e6b0b113f7e468d6dfba2b16a78dd6c8f696b131e6980ae1",
+    "verify": "c55ce68e2d498177ab5b1cc02813b2778995f40fec9e8c7cfd6b6b2b303bac29",
+}
+_HELP_DIGESTS_313 = {
+    **_HELP_DIGESTS,
+    "weyl": "1751ce6d056e221ff1e87f268556d5355ff185c8ede48d0a7b12315532a1ceb1",
+    "grade": "934036ba0fc2b25d366ab5d96a7d69dad280dab4c9a30a1b725e561933adb5da",
+    "sl2": "2915cc6265159244d1df81a630f1db02c0a931a22da2ac76457afb07aa4a0f7d",
+    "rank2": "515f70d59224fbcd6b424670a6c8983ff6a9c45f3ceb153d0fc3cc08a4146f01",
+}
+
+
+def test_help_output_is_pinned(capsys, monkeypatch):
+    table = _HELP_DIGESTS_313 if sys.version_info >= (3, 13) else _HELP_DIGESTS
+    monkeypatch.setenv("COLUMNS", "80")
+    for sub, want in table.items():
+        code, out, err = run(capsys, *([sub] if sub else []), "--help")
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == want, sub
