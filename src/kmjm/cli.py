@@ -14,36 +14,31 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import sweeps
-from .errors import KmjmError, NotPiSystem, NotReduced
+from .errors import KmjmError, NotPiSystem, NotReduced, resolve_cap
 from .gcm import norm as root_norm
 from .gcm import validate_gcm
 from .grading import check_finite_grading, phi_w_d
 from .lattice import Coweight, RootVec, WeylWord
 from .pisystem import classify_pi_type, make_pi_system
-from .rank2 import (
-    Rank2Label,
-    b_seq,
-    build_exceptional_triple,
-    classify_intersection,
-    family_root,
-    gamma_eta,
-)
-from .realize import build_truncated, resolve_cap, truncated_on_demand
 from .roots import peterson_multiplicities
-from .sl2 import (
-    build_triple,
-    realize_triple,
-    verify_realized,
-    verify_symbolic,
-    verify_triple_elements,
-)
 from .weyl import inversion_set
+
+# The realization layer (realize, sl2, rank2, sweeps) is imported inside the
+# handlers that use it, so that the root-data commands start without it.
 
 __all__ = ["main", "RunConfig"]
 
 _DEFAULT_SEED = 20260819
 _MAX_SAFE = 2**53 - 1  # ints beyond this serialize as decimal strings
+# the keys of sweeps.SUITES, in order; spelled out so that parsing needs no sweeps
+_SUITE_NAMES = (
+    "symprop",
+    "permissable",
+    "reg-grade",
+    "regdomthm",
+    "rank2-theorem",
+    "affine-heisenberg",
+)
 
 
 class UsageError(Exception):
@@ -131,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--height", type=int)
 
     sp = sub.add_parser("verify", parents=[common])
-    sp.add_argument("suite", choices=tuple(sweeps.SUITES))
+    sp.add_argument("suite", choices=_SUITE_NAMES)
 
     return p
 
@@ -340,7 +335,13 @@ def _cmd_pisys(args, rc: RunConfig):
 
 
 def _cmd_sl2(args, rc: RunConfig):
+    from .realize import truncated_on_demand
+    from .sl2 import build_triple, verify_realized, verify_symbolic
+
     g = _load_gcm(args)
+    run_h = args.height if args.height is not None else (rc.height_default or 8)
+    if run_h < 0:
+        raise UsageError(f"--height must be >= 0, got {run_h}")
     if args.roots:
         roots = _roots_json(args.roots, g.n)
     elif args.word and args.tau and args.degree is not None:
@@ -355,7 +356,6 @@ def _cmd_sl2(args, rc: RunConfig):
     coeffs = _fracs_csv(args.coeffs, "--coeffs") if args.coeffs else None
     triple = build_triple(make_pi_system(g, roots), coeffs)
     symbolic = "pass" if verify_symbolic(triple) else "fail"
-    run_h = args.height if args.height is not None else (rc.height_default or 8)
     if max(b.height for b in roots) <= run_h:
         alg = truncated_on_demand(g, run_h, cap=rc.cap)
         realized = "pass" if verify_realized(triple, alg) else "fail"
@@ -370,6 +370,8 @@ def _cmd_sl2(args, rc: RunConfig):
 
 
 def _cmd_realize(args, rc: RunConfig):
+    from .realize import build_truncated
+
     g = _load_gcm(args)
     height = args.height if args.height is not None else rc.height_default
     if height is None:
@@ -385,6 +387,17 @@ def _cmd_realize(args, rc: RunConfig):
 
 
 def _cmd_rank2(args, rc: RunConfig):
+    from .rank2 import (
+        Rank2Label,
+        b_seq,
+        build_exceptional_triple,
+        classify_intersection,
+        family_root,
+        gamma_eta,
+    )
+    from .realize import truncated_on_demand
+    from .sl2 import build_triple, realize_triple, verify_triple_elements
+
     a, b = args.a, args.b
     g = validate_gcm([[2, -b], [-a, 2]])
     if args.action == "sequences":
@@ -445,6 +458,8 @@ def _cmd_rank2(args, rc: RunConfig):
 
 
 def _cmd_verify(args, rc: RunConfig) -> int:
+    from . import sweeps
+
     config = sweeps.SweepConfig(seed=rc.seed, cap=rc.cap)
     report = sweeps.SUITES[args.suite](config)
     _emit(report.as_dict(), rc.fmt)

@@ -1,7 +1,11 @@
 """Error taxonomy. Every domain failure raises a subclass of KmjmError with a
-machine-readable code (used by the CLI for structured stderr output)."""
+machine-readable code (used by the CLI for structured stderr output).  The
+dimension cap that ResourceCap enforces is resolved here too, so every
+command can print it without loading the realization layer."""
 
 from __future__ import annotations
+
+import os
 
 
 class KmjmError(Exception):
@@ -80,6 +84,23 @@ class ZeroElement(KmjmError):
 
 class ResourceCap(KmjmError):
     code = "resource_cap"
+
+
+DEFAULT_CAP = 20000
+
+
+def resolve_cap(cap: int | None = None) -> int:
+    """The dimension cap in force: the argument, else KMJM_CAP from the
+    environment, else DEFAULT_CAP."""
+    if cap is not None:
+        return cap
+    env = os.environ.get("KMJM_CAP")
+    if not env:
+        return DEFAULT_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"KMJM_CAP must be an integer, got {env!r}") from None
 
 
 class InternalInconsistency(KmjmError):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from ._linalg import _span_of
 from .errors import InternalInconsistency, NotPiSystem, OracleTooShort
-from .gcm import GCM, TypeTag, bilinear_form, classify, norm
+from .gcm import GCM, TypeTag, classify, norm
 from .lattice import RootVec
 from .roots import MultTable, coroot_pairing, is_root, peterson_multiplicities
 

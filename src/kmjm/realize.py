@@ -65,18 +65,19 @@ instead of guessing.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from ._linalg import _rational, _Span, _span_of
 from .errors import (
+    DEFAULT_CAP,
     HeightOutOfRange,
     InternalInconsistency,
     NotRealRoot,
     ResourceCap,
     TruncationAmbiguous,
+    resolve_cap,
 )
 from .gcm import GCM, norm
 from .lattice import RootVec
@@ -96,23 +97,6 @@ __all__ = [
     "companion_vector",
     "DEFAULT_CAP",
 ]
-
-DEFAULT_CAP = 20000
-
-
-def resolve_cap(cap: int | None = None) -> int:
-    """The dimension cap in force: the argument, else KMJM_CAP from the
-    environment, else DEFAULT_CAP."""
-    if cap is not None:
-        return cap
-    env = os.environ.get("KMJM_CAP")
-    if not env:
-        return DEFAULT_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"KMJM_CAP must be an integer, got {env!r}") from None
-
 
 # ---------------------------------------------------------------------------
 # Lyndon words
@@ -328,6 +312,9 @@ class TruncatedAlgebra:
         self._pp_cache: dict = {}
         self._pn_cache: dict = {}
         self._words: dict = {}
+        # positive real root -> [vector terms, companion terms or None]; plain
+        # dicts, so that the memo holds no element referring back to self
+        self._root_vectors: dict = {}
         self._form_unit = lcm(*g.symmetrizer)  # L, with (e_i | f_i) = L / d_i
 
     # -- construction -----------------------------------------------------
@@ -947,7 +934,10 @@ def real_root_vector(alg: TruncatedAlgebra, beta: RootVec):
     exactly the coroot.
 
     The vector is produced by transporting a generator along a chain of
-    reflection operators following a greedy height descent.
+    reflection operators following a greedy height descent.  Every root the
+    descent passes is memoized on the algebra with its vector, and a later
+    descent stops at the first memoized root: its greedy chain is a suffix
+    of the current one, so the vector is the same as a fresh transport's.
     """
     g = alg.gcm
     if not beta.is_positive:
@@ -958,29 +948,37 @@ def real_root_vector(alg: TruncatedAlgebra, beta: RootVec):
         raise NotRealRoot(
             f"{list(beta.coeffs)} is imaginary", beta=list(beta.coeffs)
         )
-    cur = beta
-    chain = []
-    while cur.height > 1:
+    memo = alg._root_vectors
+    cur = beta.coeffs
+    chain = []  # (letter, root before the reflection down)
+    while cur not in memo and sum(cur) > 1:
         pick = 0
         for i in range(1, g.n + 1):
-            pairing = sum(g.entries[i - 1][j] * cur.coeffs[j] for j in range(g.n))
+            pairing = sum(g.entries[i - 1][j] * cur[j] for j in range(g.n))
             if pairing > 0:
                 pick = i
                 break
         if pick == 0:
             raise InternalInconsistency(
                 "height descent stalled on a positive real root",
-                beta=list(cur.coeffs),
+                beta=list(cur),
             )
-        chain.append(pick)
-        new = list(cur.coeffs)
-        new[pick - 1] -= sum(g.entries[pick - 1][j] * cur.coeffs[j] for j in range(g.n))
-        cur = RootVec(tuple(new))
-    base = cur.coeffs.index(1) + 1
-    vec = alg.e(base)
+        chain.append((pick, cur))
+        new = list(cur)
+        new[pick - 1] -= sum(g.entries[pick - 1][j] * cur[j] for j in range(g.n))
+        cur = tuple(new)
+    vec = AlgElement(alg, memo[cur][0]) if cur in memo else alg.e(cur.index(1) + 1)
+    memo.setdefault(cur, [vec.terms, None])
     try:
-        for i in reversed(chain):
+        for i, root in reversed(chain):
             vec = simple_reflection(alg, i, vec)
+            bad = [k for k in vec.terms if not (k[0] == "p" and k[1] == root)]
+            if bad or vec.is_zero():
+                raise InternalInconsistency(
+                    "transported vector did not land in the expected root space",
+                    beta=list(beta.coeffs),
+                )
+            memo[root] = [vec.terms, None]
     except TruncationAmbiguous as exc:
         raise HeightOutOfRange(
             "transport to the root needs a taller truncation "
@@ -988,13 +986,10 @@ def real_root_vector(alg: TruncatedAlgebra, beta: RootVec):
             height=alg.height,
             beta=list(beta.coeffs),
         ) from exc
-    bad = [k for k in vec.terms if not (k[0] == "p" and k[1] == beta.coeffs)]
-    if bad or vec.is_zero():
-        raise InternalInconsistency(
-            "transported vector did not land in the expected root space",
-            beta=list(beta.coeffs),
-        )
-    return vec, companion_vector(alg, beta, vec)
+    entry = memo[beta.coeffs]
+    if entry[1] is None:
+        entry[1] = companion_vector(alg, beta, vec).terms
+    return AlgElement(alg, entry[0]), AlgElement(alg, entry[1])
 
 
 def companion_vector(alg: TruncatedAlgebra, beta: RootVec, vec: AlgElement) -> AlgElement:

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from ._linalg import _span_of
 from .errors import HeightOutOfRange, SingularB, ZeroElement
-from .lattice import RootVec
 from .pisystem import PiSystem
 from .realize import (
     AlgElement,

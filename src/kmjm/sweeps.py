@@ -3,7 +3,9 @@
 Each suite replays one mechanized claim over a bounded, deterministic grid
 and reports every counterexample candidate it finds.  An empty failure list
 is the pass verdict; suites never stop at the first hit, so a report always
-describes the whole grid.
+describes the whole grid.  The suites that realize import ``rank2``,
+``realize`` and ``sl2`` themselves, so ``symprop`` and ``reg-grade`` run
+without loading them.
 """
 
 from __future__ import annotations
@@ -18,18 +20,9 @@ from ._linalg import _span_of
 from .errors import KmjmError, SingularB
 from .gcm import FINITE, GCM, validate_gcm
 from .grading import check_finite_grading, grade_of, phi_w_d
-from .lattice import Coweight, RootVec, WeylWord, simple_root
+from .lattice import Coweight, WeylWord, simple_root
 from .pisystem import classify_pi_type, make_pi_system
-from .rank2 import build_exceptional_triple, classify_intersection
-from .realize import TruncatedAlgebra, truncated_on_demand
 from .roots import MultTable, peterson_multiplicities
-from .sl2 import (
-    build_triple,
-    solve_mu,
-    verify_realized,
-    verify_symbolic,
-    verify_triple_elements,
-)
 from .weyl import apply_word, inversion_set
 
 __all__ = [
@@ -103,8 +96,10 @@ def _oracle(matrix, height: int) -> MultTable:
 
 
 @lru_cache(maxsize=64)
-def _algebra(matrix, height: int, cap=None) -> TruncatedAlgebra:
+def _algebra(matrix, height: int, cap=None):
     # a suite touches few degrees of each algebra; those are built on first use
+    from .realize import truncated_on_demand
+
     return truncated_on_demand(_gcm(matrix), height, cap=cap, table=_oracle(matrix, height))
 
 
@@ -171,6 +166,8 @@ _PERMISSABLE_AB = ((3, 2), (2, 3), (5, 1), (1, 5), (6, 1), (7, 1))
 
 
 def run_permissable(config: SweepConfig = SweepConfig()) -> SuiteReport:
+    from .rank2 import classify_intersection
+
     cases = 0
     failures = []
     for a, b in _PERMISSABLE_AB:
@@ -363,6 +360,8 @@ def run_reg_grade(config: SweepConfig = SweepConfig()) -> SuiteReport:
 # suite: regdomthm — every random slice extends to an sl2-triple
 
 def run_regdomthm(config: SweepConfig = SweepConfig()) -> SuiteReport:
+    from .sl2 import build_triple, verify_realized, verify_symbolic
+
     insts = criterion_instances(config)
     slices = [inst.slice_roots() for inst in insts]
     # a matrix with a slice of height <= the cutoff is also realized, which
@@ -406,6 +405,8 @@ _PINNED_XY = ((1, 1), (2, 3), (1, -1))
 
 
 def _check_single(g, alg, table, beta) -> str | None:
+    from .sl2 import build_triple, verify_realized, verify_symbolic
+
     try:
         sigma = make_pi_system(g, [beta], table)
         triple = build_triple(sigma)
@@ -420,6 +421,9 @@ def _check_single(g, alg, table, beta) -> str | None:
 
 
 def _check_pair(g, alg, verdict, x, y) -> str | None:
+    from .rank2 import build_exceptional_triple
+    from .sl2 import verify_triple_elements
+
     try:
         t = build_exceptional_triple(g, verdict, x, y, alg)
         if not verify_triple_elements(alg, t):
@@ -430,6 +434,8 @@ def _check_pair(g, alg, verdict, x, y) -> str | None:
 
 
 def run_rank2_theorem(config: SweepConfig = SweepConfig()) -> SuiteReport:
+    from .rank2 import classify_intersection
+
     cases = 0
     failures = []
     alg_h = config.max_root_height
@@ -502,6 +508,8 @@ def run_rank2_theorem(config: SweepConfig = SweepConfig()) -> SuiteReport:
 # suite: affine-heisenberg — the counterexample where no repair exists
 
 def run_affine_heisenberg(config: SweepConfig = SweepConfig()) -> SuiteReport:
+    from .sl2 import solve_mu
+
     matrix = _rank2_matrix(2, 2)
     g = _gcm(matrix)
     problems = []

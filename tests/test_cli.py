@@ -2,8 +2,6 @@ import hashlib
 import json
 import sys
 
-import pytest
-
 from kmjm.cli import main
 
 H3_INLINE = "[[2,-3],[-3,2]]"
@@ -235,6 +233,29 @@ def test_negative_heights_are_usage_errors(capsys):
     assert err.splitlines()[-1] == "kmjm: error: --oracle-height must be >= 0, got -1"
 
 
+def test_sl2_negative_height_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "sl2", "--gcm-inline", H51_INLINE,
+        "--word", "2,1,2", "--tau", "1,1", "-d", "5", "--height", "-1",
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "kmjm: error: --height must be >= 0, got -1"
+
+
+def test_sl2_height_zero_skips_realization(capsys):
+    code, out, _ = run(
+        capsys, "sl2", "--gcm-inline", H51_INLINE,
+        "--word", "2,1,2", "--tau", "1,1", "-d", "5", "--height", "0",
+    )
+    assert code == 0
+    assert out_json(out) == {
+        "h": {"coroots": {"1": "5", "2": "4"}},
+        "f": {"coeffs": ["1"]},
+        "symbolic": "pass",
+        "realized": "skipped(height)",
+    }
+
+
 def test_height_zero_is_unchanged(capsys):
     # an empty table: no roots, and an oracle too short for any member
     code, out, _ = run(capsys, "roots", "--gcm-inline", H3_INLINE, "--height", "0")
@@ -365,6 +386,14 @@ _HELP_DIGESTS_313 = {
     "sl2": "2915cc6265159244d1df81a630f1db02c0a931a22da2ac76457afb07aa4a0f7d",
     "rank2": "515f70d59224fbcd6b424670a6c8983ff6a9c45f3ceb153d0fc3cc08a4146f01",
 }
+
+
+def test_suite_names_match_the_suites():
+    # the verify parser spells the names out so that parsing loads no sweeps
+    from kmjm import sweeps
+    from kmjm.cli import _SUITE_NAMES
+
+    assert _SUITE_NAMES == tuple(sweeps.SUITES)
 
 
 def test_help_output_is_pinned(capsys, monkeypatch):

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import itertools
 import json
 import random
+import weakref
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -25,6 +27,7 @@ from kmjm import (
     simple_reflection,
     validate_gcm,
 )
+from kmjm import realize
 from kmjm._linalg import _Span
 from kmjm.realize import (
     DEFAULT_CAP,
@@ -34,7 +37,7 @@ from kmjm.realize import (
     resolve_cap,
     truncated_on_demand,
 )
-from kmjm.roots import coroot_coords
+from kmjm.roots import coroot_coords, real_roots_up_to_height
 
 
 def test_frozen_dimensions(algebra):
@@ -174,6 +177,70 @@ def test_real_root_vector(algebra):
     tight = algebra(H51, 6)
     with pytest.raises(HeightOutOfRange):
         real_root_vector(tight, rootvec((1, 4)))
+
+
+def _transport_uncached(alg, beta):
+    # the greedy height descent and the reflections back up, with no memo;
+    # None when the transport leaves the window
+    g = alg.gcm
+    cur, chain = list(beta.coeffs), []
+    while sum(cur) > 1:
+        i = next(i for i in range(g.n) if sum(a * c for a, c in zip(g.entries[i], cur)) > 0)
+        chain.append(i + 1)
+        cur[i] -= sum(a * c for a, c in zip(g.entries[i], cur))
+    vec = alg.e(cur.index(1) + 1)
+    try:
+        for i in reversed(chain):
+            vec = simple_reflection(alg, i, vec)
+    except TruncationAmbiguous:
+        return None
+    return vec
+
+
+@pytest.mark.parametrize("matrix, height", [(H3, 11), (A2_AFFINE, 9)])
+def test_transport_reflects_each_root_once(matrix, height, monkeypatch):
+    # a descent stops at the first root the algebra has transported before,
+    # so the real roots of the window cost at most one reflection per
+    # non-simple root, and each vector is the one the whole chain gives
+    g = validate_gcm(matrix)
+    roots = real_roots_up_to_height(g, height)
+    alg = truncated_on_demand(g, height)
+    want = {beta: _transport_uncached(alg, beta) for beta in roots}
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return simple_reflection(*args, **kwargs)
+
+    monkeypatch.setattr(realize, "simple_reflection", counted)
+    got = {}
+    for beta in reversed(roots):  # tallest first: its descent memoizes the rest
+        if want[beta] is None:
+            with pytest.raises(HeightOutOfRange) as err:
+                real_root_vector(alg, beta)
+            assert err.value.context["beta"] == list(beta.coeffs)
+            continue
+        vec, comp = got[beta] = real_root_vector(alg, beta)
+        assert vec == want[beta]
+        assert alg.bracket(vec, comp) == alg.cartan(coroot_coords(g, beta))
+    assert len(calls) <= sum(beta.height > 1 for beta in roots)
+    assert any(want[beta] is None for beta in roots) == (matrix == H3)
+    # a repeated request is answered from the memo, companion included
+    before = len(calls)
+    for beta, pair in got.items():
+        assert real_root_vector(alg, beta) == pair
+    assert len(calls) == before
+    # the memo holds plain dicts, so reference counting alone frees the algebra
+    fresh = truncated_on_demand(g, height)
+    for beta in got:
+        real_root_vector(fresh, beta)
+    ref = weakref.ref(fresh)
+    gc.disable()
+    try:
+        del fresh
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_companion_scaling(algebra):
