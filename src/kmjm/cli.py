@@ -395,8 +395,6 @@ def _cmd_rank2(args, rc: RunConfig):
         family_root,
         gamma_eta,
     )
-    from .realize import truncated_on_demand
-    from .sl2 import build_triple, realize_triple, verify_triple_elements
 
     a, b = args.a, args.b
     g = validate_gcm([[2, -b], [-a, 2]])
@@ -431,6 +429,9 @@ def _cmd_rank2(args, rc: RunConfig):
             "swapped": verdict.swapped,
         }
     # triple
+    from .realize import truncated_on_demand
+    from .sl2 import build_triple, realize_triple, verify_triple_elements
+
     if verdict.kind == "Empty":
         raise _StructuredError(
             "empty_slice", "the requested slice is empty; nothing to extend",

@@ -10,21 +10,27 @@ two exceptional slice configurations into honest triples.
 Orientation: formulas are written for a >= b (a the entry below the diagonal,
 negated).  Inputs with a < b are handled by swapping the two indices, and the
 answer is swapped back, so every public function accepts either orientation.
+
+Only the exceptional repair realizes anything; it imports ``realize`` and
+``sl2`` itself, so the closed forms and the classifier run without them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import InternalInconsistency, NotHyperbolic, ZeroElement
 from .gcm import GCM, classify, validate_gcm
 from .grading import check_finite_grading, phi_w_d
 from .lattice import Coweight, RootVec, WeylWord
 from .pisystem import make_pi_system
-from .realize import TruncatedAlgebra, exp_ad, real_root_vector, simple_reflection
-from .sl2 import RealizedTriple, build_triple, realize_triple
 from .weyl import reflect
+
+if TYPE_CHECKING:
+    from .realize import TruncatedAlgebra
+    from .sl2 import RealizedTriple
 
 __all__ = [
     "Rank2Label",
@@ -338,12 +344,17 @@ def _space_ratio(u, v) -> Fraction:
 
 def _singleton_triple(alg: TruncatedAlgebra, beta: RootVec, c: Fraction) -> RealizedTriple:
     # the standard triple on the one-member pi-system {beta}, scaled by c
+    from .sl2 import build_triple, realize_triple
+
     sigma = make_pi_system(alg.gcm, [beta])
     return realize_triple(build_triple(sigma, (c,)), alg)
 
 
 def _conjugated_triple(alg, beta, adj, x, y) -> RealizedTriple:
     # standard triple for x*e_beta, conjugated by exp((y/x) ad e_adj)
+    from .realize import exp_ad
+    from .sl2 import RealizedTriple
+
     base = _singleton_triple(alg, beta, x)
     t = y / x
     conj = alg.e(adj)
@@ -366,6 +377,9 @@ def build_exceptional_triple(g: GCM, verdict: IntersectionVerdict, x, y,
     case II configuration, builds there, and rides back.  Either coefficient
     may be zero (not both), collapsing to a plain real-root triple.
     """
+    from .realize import real_root_vector, simple_reflection
+    from .sl2 import RealizedTriple
+
     a, b = ab_of(g)
     if g != alg.gcm:
         raise ValueError("the algebra was built for a different matrix")

@@ -3,9 +3,9 @@
 Each suite replays one mechanized claim over a bounded, deterministic grid
 and reports every counterexample candidate it finds.  An empty failure list
 is the pass verdict; suites never stop at the first hit, so a report always
-describes the whole grid.  The suites that realize import ``rank2``,
-``realize`` and ``sl2`` themselves, so ``symprop`` and ``reg-grade`` run
-without loading them.
+describes the whole grid.  The suites import ``rank2``, ``realize`` and
+``sl2`` where they use them, so ``symprop`` and ``reg-grade`` load none of
+the three and ``permissable`` only ``rank2``.
 """
 
 from __future__ import annotations

@@ -64,6 +64,21 @@ def test_root_data_commands_leave_the_realization_layer_unloaded():
     }
 
 
+def test_rank2_closed_forms_leave_realize_unloaded():
+    loaded = _loaded_after(
+        "from kmjm.cli import main\n"
+        "for argv in (\n"
+        "    ['rank2', '--a', '3', '--b', '3', 'sequences', '--count', '6'],\n"
+        "    ['rank2', '--a', '5', '--b', '1', 'families', '--count', '4'],\n"
+        "    ['rank2', '--a', '5', '--b', '1', 'classify', '--word', '2,1,2',\n"
+        "     '--tau', '1,0', '-d', '1'],\n"
+        "):\n"
+        "    assert main(argv) == 0, argv\n"
+    )
+    assert "kmjm.rank2" in loaded
+    assert not loaded & {"kmjm.realize", "kmjm.sl2", "kmjm.sweeps"}
+
+
 def test_suites_load_without_realize():
     loaded = _loaded_after("from kmjm import SUITES")
     assert "kmjm.sweeps" in loaded
