@@ -967,8 +967,11 @@ def real_root_vector(alg: TruncatedAlgebra, beta: RootVec):
         new = list(cur)
         new[pick - 1] -= sum(g.entries[pick - 1][j] * cur[j] for j in range(g.n))
         cur = tuple(new)
-    vec = AlgElement(alg, memo[cur][0]) if cur in memo else alg.e(cur.index(1) + 1)
-    memo.setdefault(cur, [vec.terms, None])
+    if cur in memo:
+        vec = AlgElement(alg, memo[cur][0])
+    else:
+        vec = alg.e(cur.index(1) + 1)
+        memo[cur] = [vec.terms, None]
     try:
         for i, root in reversed(chain):
             vec = simple_reflection(alg, i, vec)
