@@ -9,7 +9,8 @@ layer loads on first use: the names from ``realize``, ``sl2``, ``rank2`` and
 ``SUITES`` and the rest of ``__all__``), and those four modules themselves,
 are resolved by the module ``__getattr__`` (PEP 562) when first asked for.
 Building root vectors is most of the package's code, and a process that only
-asks root-data questions, such as ``kmjm weyl``, never compiles it.
+asks root-data questions, such as ``kmjm weyl``, never compiles it; every
+command needs the root-data layer, so deferring it would save nothing.
 """
 
 from importlib import import_module as _import_module

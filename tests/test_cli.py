@@ -365,9 +365,9 @@ def test_domain_error_payload_shape(capsys):
 
 
 # SHA-256 of `kmjm [SUBCOMMAND] --help` at COLUMNS=80, recorded under Python
-# 3.10-3.12.  Python 3.13 changed argparse's layout of short options with a
-# long alias (`-d, --degree DEGREE`) and of required options in the usage
-# line, so it has its own table.
+# 3.10-3.12.  Python 3.13 changed argparse's layout (it wraps the usage line
+# without splitting an option from its value and writes `-d, --degree
+# DEGREE`), so it has its own table.
 _HELP_DIGESTS = {
     "": "1cab916ba599f91bf768a2166cbad4bfe6dbb2c683ec9237fcfbaa5fb9ae8292",
     "roots": "a47039d9757a0df8509aabd4d24bcd32b9913c48393fd86e4bdf7edaf3bdb63b",
