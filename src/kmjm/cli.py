@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import KmjmError, NotPiSystem, NotReduced, resolve_cap
 from .gcm import norm as root_norm
 from .gcm import validate_gcm
 from .grading import check_finite_grading, phi_w_d
-from .lattice import Coweight, RootVec, WeylWord
+from .lattice import Coweight, RootVec, Value, WeylWord, rootvec
 from .pisystem import classify_pi_type, make_pi_system
 from .roots import peterson_multiplicities
 from .weyl import inversion_set
@@ -53,12 +52,12 @@ class _StructuredError(Exception):
         self.payload = {"error": code, "message": message, "context": context}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = _DEFAULT_SEED
-    cap: int | None = None
-    fmt: str = "json"
-    height_default: int | None = None
+class RunConfig(Value):
+    __slots__ = ("seed", "cap", "fmt", "height_default")
+
+    def __init__(self, seed: int = _DEFAULT_SEED, cap: int | None = None,
+                 fmt: str = "json", height_default: int | None = None):
+        self._init(seed, cap, fmt, height_default)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +162,14 @@ def _config_int(cfg, key):
     return val
 
 
+def _height_of(args, rc: RunConfig, default=None) -> int:
+    # --height, else the config height, else default; a height of 0 is set
+    for height in (args.height, rc.height_default, default):
+        if height is not None:
+            return height
+    raise UsageError("--height is required")
+
+
 def _load_gcm(args):
     path, inline = getattr(args, "gcm", None), getattr(args, "gcm_inline", None)
     if bool(path) == bool(inline):
@@ -206,7 +213,7 @@ def _roots_json(text: str, n: int):
     for row in data:
         if not isinstance(row, list) or len(row) != n or not all(isinstance(x, int) for x in row):
             raise UsageError(f"each root needs {n} integer coefficients, got {row!r}")
-        out.append(RootVec(tuple(row)))
+        out.append(rootvec(row))
     return out
 
 
@@ -261,9 +268,7 @@ def _emit(obj, fmt: str) -> None:
 
 def _cmd_roots(args, rc: RunConfig):
     g = _load_gcm(args)
-    height = args.height if args.height is not None else rc.height_default
-    if height is None:
-        raise UsageError("--height is required")
+    height = _height_of(args, rc)
     if height < 0:
         raise UsageError(f"--height must be >= 0, got {height}")
     table = peterson_multiplicities(g, height)
@@ -339,7 +344,7 @@ def _cmd_sl2(args, rc: RunConfig):
     from .sl2 import build_triple, verify_realized, verify_symbolic
 
     g = _load_gcm(args)
-    run_h = args.height if args.height is not None else (rc.height_default or 8)
+    run_h = _height_of(args, rc, 8)
     if run_h < 0:
         raise UsageError(f"--height must be >= 0, got {run_h}")
     if args.roots:
@@ -373,9 +378,7 @@ def _cmd_realize(args, rc: RunConfig):
     from .realize import build_truncated
 
     g = _load_gcm(args)
-    height = args.height if args.height is not None else rc.height_default
-    if height is None:
-        raise UsageError("--height is required")
+    height = _height_of(args, rc)
     alg = build_truncated(g, height, mode=args.mode, cap=rc.cap)
     dims = {str([0] * g.n): _ji(g.n)}
     for v in alg.table.roots():
@@ -437,7 +440,7 @@ def _cmd_rank2(args, rc: RunConfig):
             "empty_slice", "the requested slice is empty; nothing to extend",
             word=args.word, tau=args.tau, d=args.degree,
         )
-    height = args.height if args.height is not None else (rc.height_default or 12)
+    height = _height_of(args, rc, 12)
     alg = truncated_on_demand(g, height, cap=rc.cap)
     if verdict.kind == "Single":
         coeffs = _fracs_csv(args.coeffs, "--coeffs") if args.coeffs else (Fraction(1),)

@@ -20,7 +20,8 @@ class KmjmError(Exception):
 
 
 def _plain(obj):
-    # JSON-friendly rendering of exception context (tuples, Fractions, dataclasses).
+    # JSON-friendly rendering of exception context (tuples, Fractions, and the
+    # value types RootVec, Coweight and WeylWord by their coordinates).
     from fractions import Fraction
 
     if isinstance(obj, dict):

@@ -7,25 +7,25 @@ minimal positive integers on each connected component of the diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
 from ._linalg import leading_principal_minors
 from .errors import NotGCM, NotSymmetrizable
-from .lattice import RootVec
+from .lattice import RootVec, Value
 
 
-@dataclass(frozen=True)
-class GCM:
+class GCM(Value):
     """A validated generalized Cartan matrix with its minimal integer symmetrizer.
 
     Construct via validate_gcm(); direct construction skips the checks.
     """
 
-    entries: tuple[tuple[int, ...], ...]
-    symmetrizer: tuple[int, ...]
+    __slots__ = ("entries", "symmetrizer")
+
+    def __init__(self, entries: tuple[tuple[int, ...], ...], symmetrizer: tuple[int, ...]):
+        self._init(entries, symmetrizer)
 
     @property
     def n(self) -> int:
@@ -42,10 +42,11 @@ class GCM:
         return f"GCM({self.rows()})"
 
 
-@dataclass(frozen=True)
-class TypeTag:
-    kind: str  # "finite" | "affine" | "indefinite"
-    hyperbolic: bool = False
+class TypeTag(Value):
+    __slots__ = ("kind", "hyperbolic")
+
+    def __init__(self, kind: str, hyperbolic: bool = False):
+        self._init(kind, hyperbolic)  # kind: "finite" | "affine" | "indefinite"
 
     def __str__(self):
         return self.kind + ("+hyperbolic" if self.hyperbolic else "")

@@ -1,23 +1,73 @@
-"""Root-lattice vectors, coweights and Weyl words (shared value types)."""
+"""Root-lattice vectors, coweights and Weyl words (shared value types).
+
+Every kmjm value type derives from `Value`: a plain class whose fields are its
+``__slots__`` and whose ``__init__`` holds the defaults.  `Value` gives what a
+frozen dataclass did: equality within one class, the hash of the field tuple,
+the ``Name(field=value, ...)`` repr, AttributeError on assignment or deletion,
+and a ``__reduce__`` through ``__init__`` for pickle and copy.  kmjm does not
+import ``dataclasses``: with ``inspect`` and the generated classes it cost
+about 20 ms at every start of the CLI.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
-class RootVec:
+class Value:
+    """Immutable record whose fields are the subclass's ``__slots__``."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class RootVec(Value):
     """Integer vector in the root lattice, coordinates over the simple roots.
 
     Ordering is (height, coeffs) so sorted() gives the deterministic
-    height-then-lex order used everywhere.
+    height-then-lex order used everywhere.  The constructor takes a tuple of
+    ints as it is; `rootvec` converts outside input.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not RootVec:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.coeffs,))
 
     @property
     def n(self) -> int:
@@ -88,7 +138,8 @@ class RootVec:
 
 
 def rootvec(coeffs: Iterable[int]) -> RootVec:
-    return RootVec(tuple(coeffs))
+    """A RootVec from any iterable of integers, each converted with int()."""
+    return RootVec(tuple(int(c) for c in coeffs))
 
 
 def simple_root(n: int, i: int) -> RootVec:
@@ -98,14 +149,13 @@ def simple_root(n: int, i: int) -> RootVec:
     return RootVec(tuple(1 if j == i - 1 else 0 for j in range(n)))
 
 
-@dataclass(frozen=True)
-class Coweight:
+class Coweight(Value):
     """Integral coweight tau, stored by its values tau_i = alpha_i(tau)."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+    def __init__(self, values: Iterable[int]):
+        self._init(tuple(int(v) for v in values))
 
     @property
     def n(self) -> int:
@@ -123,14 +173,13 @@ class Coweight:
         return f"Coweight({list(self.values)})"
 
 
-@dataclass(frozen=True)
-class WeylWord:
+class WeylWord(Value):
     """Word in the simple reflections; letters are 1-based indices."""
 
-    letters: tuple[int, ...]
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(int(x) for x in self.letters))
+    def __init__(self, letters: Iterable[int]):
+        self._init(tuple(int(x) for x in letters))
 
     def __len__(self):
         return len(self.letters)

@@ -5,22 +5,21 @@ preserves the invariant forms on the nose."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._linalg import _span_of
 from .errors import InternalInconsistency, NotPiSystem, OracleTooShort
 from .gcm import GCM, TypeTag, classify, norm
-from .lattice import RootVec
+from .lattice import RootVec, Value
 from .roots import MultTable, coroot_pairing, is_root, peterson_multiplicities
 
 __all__ = ["PiSystem", "make_pi_system", "pi_image", "classify_pi_type"]
 
 
-@dataclass(frozen=True)
-class PiSystem:
-    gcm: GCM
-    roots: tuple[RootVec, ...]
-    induced: GCM  # coroot-pairing matrix with its induced symmetrizer
+class PiSystem(Value):
+    __slots__ = ("gcm", "roots", "induced")
+
+    def __init__(self, gcm: GCM, roots: tuple[RootVec, ...], induced: GCM):
+        # induced: the coroot-pairing matrix with its induced symmetrizer
+        self._init(gcm, roots, induced)
 
     @property
     def size(self) -> int:

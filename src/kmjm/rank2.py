@@ -17,14 +17,13 @@ Only the exceptional repair realizes anything; it imports ``realize`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import InternalInconsistency, NotHyperbolic, ZeroElement
 from .gcm import GCM, classify, validate_gcm
 from .grading import check_finite_grading, phi_w_d
-from .lattice import Coweight, RootVec, WeylWord
+from .lattice import Coweight, RootVec, Value, WeylWord
 from .pisystem import make_pi_system
 from .weyl import reflect
 
@@ -49,22 +48,20 @@ __all__ = [
 _FAMILIES = ("LL", "LU", "SU", "SL")
 
 
-@dataclass(frozen=True)
-class Rank2Label:
+class Rank2Label(Value):
     """One of the four real-root families (LL, LU, SU, SL) at index j >= 0."""
 
-    family: str
-    j: int
+    __slots__ = ("family", "j")
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}, expected one of {_FAMILIES}")
-        if self.j < 0:
+    def __init__(self, family: str, j: int):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r}, expected one of {_FAMILIES}")
+        if j < 0:
             raise ValueError("family index must be nonnegative")
+        self._init(family, j)
 
 
-@dataclass(frozen=True)
-class IntersectionVerdict:
+class IntersectionVerdict(Value):
     """Classification of a graded slice of an inversion set.
 
     kind is one of "Empty", "Single", "ExceptionalI", "ExceptionalII"; roots
@@ -72,9 +69,10 @@ class IntersectionVerdict:
     swapped records that the exceptional pattern matched after the index swap
     1 <-> 2 (i.e. the matrix had a < b)."""
 
-    kind: str
-    roots: tuple[RootVec, ...]
-    swapped: bool = False
+    __slots__ = ("kind", "roots", "swapped")
+
+    def __init__(self, kind: str, roots: tuple[RootVec, ...], swapped: bool = False):
+        self._init(kind, roots, swapped)
 
     @property
     def root(self) -> RootVec:
@@ -193,8 +191,7 @@ def defining_word(g: GCM, label: Rank2Label) -> tuple[WeylWord, int]:
 # ---------------------------------------------------------------------------
 # interleaving inequalities
 
-@dataclass(frozen=True)
-class InterleavingReport:
+class InterleavingReport(Value):
     """Outcome of the exact chain checks up to index J.
 
     case "a" (a > b > 1) verifies four chains: both sequences strictly
@@ -204,13 +201,11 @@ class InterleavingReport:
     equality) and the chain 0 < eta_0 < eta_1 < a*gamma_1 < eta_2 < a*gamma_2 < ...
     """
 
-    a: int
-    b: int
-    J: int
-    case: str
-    chains: tuple[str, ...]
-    ok: bool
-    first_violation: str | None = None
+    __slots__ = ("a", "b", "J", "case", "chains", "ok", "first_violation")
+
+    def __init__(self, a: int, b: int, J: int, case: str, chains: tuple[str, ...],
+                 ok: bool, first_violation: str | None = None):
+        self._init(a, b, J, case, chains, ok, first_violation)
 
 
 def check_interleavings(a: int, b: int, J: int) -> InterleavingReport:

@@ -65,7 +65,6 @@ instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -80,7 +79,7 @@ from .errors import (
     resolve_cap,
 )
 from .gcm import GCM, norm
-from .lattice import RootVec
+from .lattice import RootVec, Value
 from .roots import MultTable, coroot_coords, is_root, peterson_multiplicities
 
 __all__ = [
@@ -869,16 +868,16 @@ def exp_ad(alg: TruncatedAlgebra, x: AlgElement, y: AlgElement, t) -> AlgElement
             )
 
 
-@dataclass(frozen=True)
-class NilpotencyResult:
+class NilpotencyResult(Value):
     """Outcome of one probe: the least N with ad(e)^N(probe) = 0, or None if
     the question could not be settled inside the truncation (reason "window":
     a bracket hit the height bound; reason "max_n": the step budget ran out
     with the iterate still nonzero)."""
 
-    probe: int
-    degree: int | None
-    reason: str | None = None
+    __slots__ = ("probe", "degree", "reason")
+
+    def __init__(self, probe: int, degree: int | None, reason: str | None = None):
+        self._init(probe, degree, reason)
 
     @property
     def conclusive(self) -> bool:

@@ -30,7 +30,6 @@ mult(beta) = 0 exactly for non-roots, real roots have mult 1 and positive norm.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -43,7 +42,7 @@ from .errors import (
     NotRealRoot,
 )
 from .gcm import GCM, bilinear_form, norm
-from .lattice import Coweight, RootVec, simple_root
+from .lattice import Coweight, RootVec, Value, simple_root
 
 __all__ = [
     "MultTable",
@@ -86,13 +85,18 @@ def real_roots_up_to_height(g: GCM, height: int) -> list[RootVec]:
     return sorted(found)
 
 
-@dataclass
-class MultTable:
-    """Root multiplicities of g(A) for positive roots of height <= height."""
+class MultTable(Value):
+    """Root multiplicities of g(A) for positive roots of height <= height.
 
-    gcm: GCM
-    height: int
-    mult: dict[RootVec, int] = field(default_factory=dict)
+    The one mutable value type, and so the one that is not hashable."""
+
+    __slots__ = ("gcm", "height", "mult")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, gcm: GCM, height: int, mult: dict[RootVec, int] | None = None):
+        self._init(gcm, height, {} if mult is None else mult)
 
     def roots(self) -> list[RootVec]:
         return sorted(self.mult)

@@ -13,11 +13,11 @@ window, straight from the graded basis of its root space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import _span_of
 from .errors import HeightOutOfRange, SingularB, ZeroElement
+from .lattice import Value
 from .pisystem import PiSystem
 from .realize import (
     AlgElement,
@@ -53,23 +53,23 @@ def solve_mu(b_entries) -> tuple[Fraction, ...]:
     return tuple(Fraction(mu.get(k, 0)) for k in range(m))
 
 
-@dataclass(frozen=True)
-class SL2Triple:
-    sigma: PiSystem
-    coeffs: tuple[Fraction, ...]
-    mu: tuple[Fraction, ...]
-    h_coords: tuple[Fraction, ...]  # over the simple coroots
+class SL2Triple(Value):
+    __slots__ = ("sigma", "coeffs", "mu", "h_coords")
+
+    def __init__(self, sigma: PiSystem, coeffs: tuple[Fraction, ...],
+                 mu: tuple[Fraction, ...], h_coords: tuple[Fraction, ...]):
+        self._init(sigma, coeffs, mu, h_coords)  # h_coords: over the simple coroots
 
     @property
     def f_coeffs(self) -> tuple[Fraction, ...]:
         return tuple(m / c for m, c in zip(self.mu, self.coeffs))
 
 
-@dataclass(frozen=True)
-class RealizedTriple:
-    e: AlgElement
-    h: AlgElement
-    f: AlgElement
+class RealizedTriple(Value):
+    __slots__ = ("e", "h", "f")
+
+    def __init__(self, e: AlgElement, h: AlgElement, f: AlgElement):
+        self._init(e, h, f)
 
 
 def build_triple(sigma: PiSystem, coeffs=None) -> SL2Triple:

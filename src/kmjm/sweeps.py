@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -20,10 +19,10 @@ from ._linalg import _span_of
 from .errors import KmjmError, SingularB
 from .gcm import FINITE, GCM, validate_gcm
 from .grading import check_finite_grading, grade_of, phi_w_d
-from .lattice import Coweight, WeylWord, simple_root
+from .lattice import Coweight, Value, WeylWord, simple_root
 from .pisystem import classify_pi_type, make_pi_system
 from .roots import MultTable, peterson_multiplicities
-from .weyl import apply_word, inversion_set
+from .weyl import _times_simple, _unit_images, inversion_set
 
 __all__ = [
     "SweepConfig",
@@ -40,28 +39,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Value):
     """Bounds for the randomized and gridded sweeps.  Everything downstream
     of a config is deterministic, including the random instance set."""
 
-    seed: int = 20260819
-    instances: int = 500
-    max_word: int = 10
-    max_tau: int = 3
-    max_d: int = 20
-    max_root_height: int = 12
-    realize_height_cutoff: int = 8
-    symbolic_height_cutoff: int = 24
-    cap: int | None = None
+    __slots__ = ("seed", "instances", "max_word", "max_tau", "max_d", "max_root_height",
+                 "realize_height_cutoff", "symbolic_height_cutoff", "cap")
+
+    def __init__(self, seed: int = 20260819, instances: int = 500, max_word: int = 10,
+                 max_tau: int = 3, max_d: int = 20, max_root_height: int = 12,
+                 realize_height_cutoff: int = 8, symbolic_height_cutoff: int = 24,
+                 cap: int | None = None):
+        self._init(seed, instances, max_word, max_tau, max_d, max_root_height,
+                   realize_height_cutoff, symbolic_height_cutoff, cap)
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    seed: int
-    cases: int
-    failures: tuple = ()
+class SuiteReport(Value):
+    __slots__ = ("suite", "seed", "cases", "failures")
+
+    def __init__(self, suite: str, seed: int, cases: int, failures: tuple = ()):
+        self._init(suite, seed, cases, failures)
 
     @property
     def ok(self) -> bool:
@@ -248,13 +245,11 @@ _POOL = (
 )
 
 
-@dataclass(frozen=True)
-class SweepInstance:
-    index: int
-    matrix: tuple
-    word: tuple
-    tau: tuple
-    d: int
+class SweepInstance(Value):
+    __slots__ = ("index", "matrix", "word", "tau", "d")
+
+    def __init__(self, index: int, matrix: tuple, word: tuple, tau: tuple, d: int):
+        self._init(index, matrix, word, tau, d)
 
     def slice_roots(self) -> list:
         g = _gcm(self.matrix)
@@ -277,16 +272,17 @@ def _random_reduced_word(g: GCM, rng: random.Random, max_len: int, max_height: i
     The word w so far is reduced, so w s_i is reduced exactly when w(alpha_i)
     is positive, and that root is its one new inversion."""
     letters: list = []
+    images = _unit_images(g.n)  # w(alpha_j) for the word w so far
     target = rng.randint(1, max_len)
     while len(letters) < target:
         cands = list(range(1, g.n + 1))
         rng.shuffle(cands)
-        w = WeylWord.of(letters)
         for i in cands:
-            root = apply_word(g, w, simple_root(g.n, i))
-            if not root.is_positive or root.height > max_height:
+            root = images[i - 1]
+            if min(root) < 0 or sum(root) > max_height:
                 continue
             letters.append(i)
+            _times_simple(g, images, i)
             break
         else:
             break

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from .errors import NotReduced
 from .gcm import GCM
-from .lattice import Coweight, RootVec, WeylWord, simple_root
+from .lattice import Coweight, RootVec, WeylWord
 
 __all__ = [
     "WeylWord",
@@ -55,14 +55,30 @@ def apply_word_coweight(g: GCM, word: WeylWord, tau: Coweight) -> Coweight:
     return tau
 
 
+def _unit_images(n: int) -> list[list[int]]:
+    # the simple roots alpha_1, ..., alpha_n as coefficient lists: w = 1 below
+    return [[int(j == k) for k in range(n)] for j in range(n)]
+
+
+def _times_simple(g: GCM, images: list[list[int]], i: int) -> None:
+    """Pass the images w(alpha_j) of the simple roots from w to w s_i, in
+    place: w(alpha_j) -= A_ij w(alpha_i) for j != i, and w(alpha_i) becomes
+    -w(alpha_i).  An image is a root, never zero, so it is positive exactly
+    when its least coordinate is >= 0."""
+    wi = images[i - 1]
+    for j, a in enumerate(g.entries[i - 1]):
+        if a and j != i - 1:
+            images[j] = [x - a * y for x, y in zip(images[j], wi)]
+    images[i - 1] = [-y for y in wi]
+
+
 def _inversion_list(g: GCM, word: WeylWord) -> list[RootVec]:
     # beta_k = s_{i1} ... s_{i_{k-1}} (alpha_{i_k}); no reducedness assumptions.
+    images = _unit_images(g.n)
     out = []
-    for k in range(len(word)):
-        beta = simple_root(g.n, word.letters[k])
-        for m in range(k - 1, -1, -1):
-            beta = reflect(g, word.letters[m], beta)
-        out.append(beta)
+    for i in word.letters:
+        out.append(RootVec(tuple(images[i - 1])))
+        _times_simple(g, images, i)
     return out
 
 
@@ -111,12 +127,12 @@ def reduce_word(g: GCM, word: WeylWord) -> WeylWord:
     while changed:
         changed = False
         betas: list[RootVec] = []
-        for k in range(len(letters)):
-            beta = simple_root(g.n, letters[k])
-            for m in range(k - 1, -1, -1):
-                beta = reflect(g, letters[m], beta)
+        images = _unit_images(g.n)
+        for k, i in enumerate(letters):
+            beta = RootVec(tuple(images[i - 1]))
             if beta.is_positive and beta not in betas:
                 betas.append(beta)
+                _times_simple(g, images, i)
                 continue
             # exchange: locate j with beta_j = -beta (negative case) or the
             # earlier duplicate (which cannot occur while prefixes stay reduced)

@@ -2,7 +2,7 @@ import hashlib
 import json
 import sys
 
-from kmjm.cli import main
+from kmjm.cli import _roots_json, main
 
 H3_INLINE = "[[2,-3],[-3,2]]"
 H51_INLINE = "[[2,-1],[-5,2]]"
@@ -268,6 +268,37 @@ def test_height_zero_is_unchanged(capsys):
     payload = json.loads(err.splitlines()[-1])
     assert payload["error"] == "oracle_too_short"
     assert payload["context"] == {"table_height": 0, "needed": 2}
+
+
+def test_config_height_zero_is_a_height(capsys, tmp_path):
+    # {"height": 0} in --config acts exactly like --height 0
+    cfg = tmp_path / "h0.json"
+    cfg.write_text(json.dumps({"height": 0}))
+    for height in (["--height", "0"], ["--config", str(cfg)]):
+        code, out, _ = run(
+            capsys, "sl2", "--gcm-inline", H51_INLINE,
+            "--word", "2,1,2", "--tau", "1,1", "-d", "5", *height,
+        )
+        assert code == 0
+        assert out_json(out)["realized"] == "skipped(height)", height
+        code, out, err = run(
+            capsys, "rank2", "--a", "5", "--b", "1", "triple",
+            "--word", "2,1,2", "--tau", "1,1", "-d", "5", *height,
+        )
+        assert code == 2 and out == "", height
+        assert err.splitlines()[-1] == "kmjm: error: height bound must be >= 1, got 0"
+
+
+def test_pisys_boolean_coefficients_read_as_integers(capsys):
+    # JSON true is an integer to the parser; the root is converted at the boundary
+    code, out, _ = run(capsys, "pisys", "--gcm-inline", A2_INLINE, "--roots", "[[true,0]]")
+    assert code == 0
+    assert out == (
+        '{\n  "pi_system": true,\n  "B": [\n    [\n      2\n    ]\n  ],\n'
+        '  "type": "finite",\n  "independent": true\n}\n'
+    )
+    (root,) = _roots_json("[[true,0]]", 2)
+    assert [type(c) for c in root.coeffs] == [int, int]
 
 
 def test_help_exits_zero(capsys):

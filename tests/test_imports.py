@@ -35,28 +35,36 @@ PUBLIC = {
 }
 
 
-def _loaded_after(code: str) -> set:
-    # run code in a fresh interpreter and return the kmjm modules it loaded
+ROOT_DATA_COMMANDS = (
+    "from kmjm.cli import main\n"
+    "A = '[[2,-1],[-5,2]]'\n"
+    "for argv in (\n"
+    "    ['weyl', '--gcm-inline', A, '--word', '1,2,1'],\n"
+    "    ['roots', '--gcm-inline', A, '--height', '4'],\n"
+    "    ['grade', '--gcm-inline', A, '--word', '2,1,2', '--tau', '1,1', '-d', '5'],\n"
+    "    ['pisys', '--gcm-inline', A, '--roots', '[[1,0],[0,1]]'],\n"
+    "):\n"
+    "    assert main(argv) == 0, argv\n"
+)
+
+
+def _modules_after(code: str) -> set:
+    # run code in a fresh interpreter and return every module it has loaded
     probe = code + "\nimport sys, json\nprint(json.dumps(sorted(sys.modules)))\n"
     out = subprocess.run(
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True, text=True, check=True,
     ).stdout
-    return {m for m in json.loads(out.splitlines()[-1]) if m.startswith("kmjm")}
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def _loaded_after(code: str) -> set:
+    # the kmjm modules that code loads in a fresh interpreter
+    return {m for m in _modules_after(code) if m.startswith("kmjm")}
 
 
 def test_root_data_commands_leave_the_realization_layer_unloaded():
-    loaded = _loaded_after(
-        "from kmjm.cli import main\n"
-        "A = '[[2,-1],[-5,2]]'\n"
-        "for argv in (\n"
-        "    ['weyl', '--gcm-inline', A, '--word', '1,2,1'],\n"
-        "    ['roots', '--gcm-inline', A, '--height', '4'],\n"
-        "    ['grade', '--gcm-inline', A, '--word', '2,1,2', '--tau', '1,1', '-d', '5'],\n"
-        "    ['pisys', '--gcm-inline', A, '--roots', '[[1,0],[0,1]]'],\n"
-        "):\n"
-        "    assert main(argv) == 0, argv\n"
-    )
+    loaded = _loaded_after(ROOT_DATA_COMMANDS)
     assert not loaded & set(HEAVY)
     assert loaded == {
         "kmjm", "kmjm.cli", "kmjm.errors", "kmjm.gcm", "kmjm.grading",
@@ -83,6 +91,19 @@ def test_suites_load_without_realize():
     loaded = _loaded_after("from kmjm import SUITES")
     assert "kmjm.sweeps" in loaded
     assert not loaded & {"kmjm.realize", "kmjm.sl2", "kmjm.rank2"}
+
+
+def test_no_dataclasses_or_inspect():
+    # both cost a fresh interpreter milliseconds; kmjm's value types need neither
+    bare = _modules_after("pass")
+    for code in (
+        ROOT_DATA_COMMANDS,
+        "from kmjm.cli import main\n"
+        "assert main(['sl2', '--gcm-inline', '[[2,-1],[-5,2]]', '--word', '2,1,2',\n"
+        "             '--tau', '1,1', '-d', '5']) == 0\n",
+        "from kmjm import SUITES\nassert SUITES['symprop']().ok\n",
+    ):
+        assert not (_modules_after(code) - bare) & {"dataclasses", "inspect"}, code
 
 
 def test_all_is_the_public_api():
