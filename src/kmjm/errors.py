@@ -92,16 +92,22 @@ DEFAULT_CAP = 20000
 
 def resolve_cap(cap: int | None = None) -> int:
     """The dimension cap in force: the argument, else KMJM_CAP from the
-    environment, else DEFAULT_CAP."""
+    environment, else DEFAULT_CAP.  A cap below 1 is an error: it would fail
+    every build."""
     if cap is not None:
+        if cap < 1:
+            raise ValueError(f"the cap must be >= 1, got {cap}")
         return cap
     env = os.environ.get("KMJM_CAP")
     if not env:
         return DEFAULT_CAP
     try:
-        return int(env)
+        cap = int(env)
     except ValueError:
         raise ValueError(f"KMJM_CAP must be an integer, got {env!r}") from None
+    if cap < 1:
+        raise ValueError(f"KMJM_CAP must be >= 1, got {env!r}")
+    return cap
 
 
 class InternalInconsistency(KmjmError):

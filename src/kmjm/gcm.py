@@ -2,7 +2,8 @@
 and the invariant bilinear form (alpha_i|alpha_j) = d_i A_ij.
 
 All arithmetic is exact (int / Fraction). The symmetrizer is normalized to
-minimal positive integers on each connected component of the diagram.
+minimal positive integers on each connected component of the diagram, so the
+form is integral and bilinear_form returns an int.
 """
 
 from __future__ import annotations
@@ -60,16 +61,26 @@ INDEFINITE = "indefinite"
 def validate_gcm(matrix: Sequence[Sequence[int]]) -> GCM:
     """Check the GCM axioms and compute the minimal positive integer symmetrizer.
 
-    Raises NotGCM on an axiom violation (with the offending entry), and
-    NotSymmetrizable when the cycle conditions d_i A_ij = d_j A_ji cannot be met.
+    The matrix is a nonempty square list or tuple of rows, each a list or
+    tuple of int entries; a bool, a float (even an integral one) or a string
+    is not read as an integer.  Raises NotGCM on a malformed matrix or an
+    axiom violation (with the offending entry), and NotSymmetrizable when the
+    cycle conditions d_i A_ij = d_j A_ji cannot be met.
     """
+    if not isinstance(matrix, (list, tuple)) or not matrix:
+        raise NotGCM(f"a GCM is a nonempty square matrix of integers, got {matrix!r}")
     n = len(matrix)
-    rows = []
     for i, row in enumerate(matrix):
+        if not isinstance(row, (list, tuple)):
+            raise NotGCM(f"row {i + 1} is not a list: {row!r}", row=i + 1)
         if len(row) != n:
             raise NotGCM(f"row {i + 1} has length {len(row)}, expected {n}", row=i + 1)
-        rows.append(tuple(int(x) for x in row))
-    entries = tuple(rows)
+        for j, x in enumerate(row):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise NotGCM(
+                    f"entry A_{i + 1}{j + 1} = {x!r} is not an integer", i=i + 1, j=j + 1
+                )
+    entries = tuple(tuple(row) for row in matrix)
     for i in range(n):
         if entries[i][i] != 2:
             raise NotGCM(f"diagonal entry A_{i + 1}{i + 1} = {entries[i][i]} != 2", i=i + 1, j=i + 1)
@@ -199,8 +210,9 @@ def symmetrized(g: GCM) -> list[list[int]]:
     return [[g.symmetrizer[i] * g.entries[i][j] for j in range(g.n)] for i in range(g.n)]
 
 
-def bilinear_form(g: GCM, beta: RootVec, gamma: RootVec) -> Fraction:
-    """(beta|gamma) = sum_ij beta_i gamma_j d_i A_ij, exact."""
+def bilinear_form(g: GCM, beta: RootVec, gamma: RootVec) -> int:
+    """(beta|gamma) = sum_ij beta_i gamma_j d_i A_ij, an int: the symmetrizer
+    is integral."""
     if beta.n != g.n or gamma.n != g.n:
         raise ValueError(f"rank mismatch: form on rank {g.n}, got {beta.n} and {gamma.n}")
     total = 0
@@ -210,9 +222,9 @@ def bilinear_form(g: GCM, beta: RootVec, gamma: RootVec) -> Fraction:
         di = g.symmetrizer[i]
         row = g.entries[i]
         total += bi * di * sum(cj * row[j] for j, cj in enumerate(gamma.coeffs) if cj != 0)
-    return Fraction(total)
+    return total
 
 
-def norm(g: GCM, beta: RootVec) -> Fraction:
+def norm(g: GCM, beta: RootVec) -> int:
     """(beta|beta)."""
     return bilinear_form(g, beta, beta)

@@ -331,7 +331,7 @@ def _space_ratio(u, v) -> Fraction:
     key = next(iter(v.terms))
     if key not in u.terms:
         raise InternalInconsistency("reflection image missed the expected root space")
-    r = u.terms[key] / v.terms[key]
+    r = Fraction(u.terms[key], v.terms[key])  # two ints would divide to a float
     if u != r * v:
         raise InternalInconsistency("vectors in a 1-dimensional root space are not proportional")
     return r

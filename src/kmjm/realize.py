@@ -54,6 +54,14 @@ n = mirror p_l at -beta:
 Each is memoized per pair of basis vectors, and each G_gamma is solved
 through the elimination above.
 
+Coefficients are integer-first, the convention of _rational in _linalg: a
+coefficient is an int when it is integral and a Fraction only when it is not.
+The generators, the basis vectors, cartan and scalar multiples are built that
+way, and the elimination returns its coordinates that way, so integral
+coefficients stay in int arithmetic.  A sum may still leave an integral
+Fraction behind; it compares and hashes as the int.  No float ever appears:
+a division always builds a Fraction.
+
 Products of two positive (or two negative) elements whose total height
 exceeds the bound are cut to zero: the truncation is the quotient by the
 ideal of heights above the bound, and every identity holds as long as all
@@ -165,8 +173,16 @@ def _key_to_id(key):
     return f"{key[0]}[{','.join(str(c) for c in key[1])}]#{key[2]}"
 
 
+def _exact(x):
+    # x as an int when it is integral, else as a Fraction
+    q = Fraction(x)
+    return q.numerator if q.denominator == 1 else q
+
+
 class AlgElement:
-    """Sparse element: dict from basis key to Fraction.
+    """Sparse element: dict from basis key to coefficient, an int when it is
+    integral and a Fraction when it is not (a sum may leave an integral
+    Fraction, equal to the int).
 
     Keys are ("h", i) for the i-th simple coroot, ("p", degree, k) and
     ("n", degree, k) for the k-th basis vector of the root space at plus or
@@ -200,7 +216,7 @@ class AlgElement:
         return AlgElement(self.alg, {k: -v for k, v in self.terms.items()})
 
     def __rmul__(self, scalar):
-        s = Fraction(scalar)
+        s = _exact(scalar)
         if not s:
             return AlgElement(self.alg, {})
         return AlgElement(self.alg, {k: s * v for k, v in self.terms.items()})
@@ -550,18 +566,18 @@ class TruncatedAlgebra:
         coords = tuple(coords)
         if len(coords) != self.gcm.n:
             raise ValueError(f"need {self.gcm.n} coroot coordinates")
-        return AlgElement(self, {("h", i + 1): Fraction(c) for i, c in enumerate(coords) if c})
+        return AlgElement(self, {("h", i + 1): _exact(c) for i, c in enumerate(coords) if c})
 
     def h(self, i: int) -> AlgElement:
-        return AlgElement(self, {("h", i): Fraction(1)})
+        return AlgElement(self, {("h", i): 1})
 
     def e(self, i: int) -> AlgElement:
         deg = tuple(1 if t == i - 1 else 0 for t in range(self.gcm.n))
-        return AlgElement(self, {("p", deg, 0): Fraction(1)})
+        return AlgElement(self, {("p", deg, 0): 1})
 
     def f(self, i: int) -> AlgElement:
         deg = tuple(1 if t == i - 1 else 0 for t in range(self.gcm.n))
-        return AlgElement(self, {("n", deg, 0): Fraction(1)})
+        return AlgElement(self, {("n", deg, 0): 1})
 
     def positive_basis(self, beta: RootVec) -> list[AlgElement]:
         deg = beta.coeffs
@@ -571,7 +587,7 @@ class TruncatedAlgebra:
                 height=beta.height,
                 table_height=self.height,
             )
-        return [AlgElement(self, {("p", deg, k): Fraction(1)}) for k in range(self._mult(deg))]
+        return [AlgElement(self, {("p", deg, k): 1}) for k in range(self._mult(deg))]
 
     def negative_basis(self, beta: RootVec) -> list[AlgElement]:
         return [self._mirror_elt(x) for x in self.positive_basis(beta)]
@@ -612,21 +628,21 @@ class TruncatedAlgebra:
             for pk, pc in yp.items():
                 val = sum(A[i][j] * pk[1][j] for j in range(self.gcm.n))
                 if val:
-                    add({pk: Fraction(val)}, hc * pc)
+                    add({pk: val}, hc * pc)
             for nk, nc in yn.items():
                 val = sum(A[i][j] * nk[1][j] for j in range(self.gcm.n))
                 if val:
-                    add({nk: Fraction(-val)}, hc * nc)
+                    add({nk: -val}, hc * nc)
         for hk, hc in yh.items():
             i = hk[1] - 1
             for pk, pc in xp.items():
                 val = sum(A[i][j] * pk[1][j] for j in range(self.gcm.n))
                 if val:
-                    add({pk: Fraction(-val)}, hc * pc)
+                    add({pk: -val}, hc * pc)
             for nk, nc in xn.items():
                 val = sum(A[i][j] * nk[1][j] for j in range(self.gcm.n))
                 if val:
-                    add({nk: Fraction(val)}, hc * nc)
+                    add({nk: val}, hc * nc)
         # [p, p] and [n, n]
         for kind, xs, ys in (("p", xp, yp), ("n", xn, yn)):
             for ak, ac in xs.items():

@@ -227,7 +227,7 @@ def coroot_pairing(g: GCM, beta: RootVec, gamma: RootVec) -> Fraction:
             f"coroot pairing needs (beta|beta) > 0, got {nb} for {list(beta.coeffs)}",
             beta=list(beta.coeffs),
         )
-    return 2 * bilinear_form(g, gamma, beta) / nb
+    return Fraction(2 * bilinear_form(g, gamma, beta), nb)
 
 
 def coroot_coords(g: GCM, beta: RootVec) -> tuple[Fraction, ...]:
@@ -237,4 +237,4 @@ def coroot_coords(g: GCM, beta: RootVec) -> tuple[Fraction, ...]:
         raise NotRealRoot(
             f"coroot of a non-positive-norm vector {list(beta.coeffs)}", beta=list(beta.coeffs)
         )
-    return tuple(Fraction(2 * g.symmetrizer[i] * beta.coeffs[i], 1) / nb for i in range(g.n))
+    return tuple(Fraction(2 * g.symmetrizer[i] * beta.coeffs[i], nb) for i in range(g.n))

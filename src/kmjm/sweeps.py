@@ -19,7 +19,7 @@ from ._linalg import _span_of
 from .errors import KmjmError, SingularB
 from .gcm import FINITE, GCM, validate_gcm
 from .grading import check_finite_grading, grade_of, phi_w_d
-from .lattice import Coweight, Value, WeylWord, simple_root
+from .lattice import Coweight, RootVec, Value, WeylWord, simple_root
 from .pisystem import classify_pi_type, make_pi_system
 from .roots import MultTable, peterson_multiplicities
 from .weyl import _times_simple, _unit_images, inversion_set
@@ -267,11 +267,13 @@ class SweepInstance(Value):
 
 def _random_reduced_word(g: GCM, rng: random.Random, max_len: int, max_height: int):
     """Grow a reduced word letter by letter, keeping every inversion within
-    the height budget; stops early when no letter extends it.
+    the height budget; stops early when no letter extends it.  Returns the
+    word and its inversion set, in the order of inversion_set.
 
     The word w so far is reduced, so w s_i is reduced exactly when w(alpha_i)
     is positive, and that root is its one new inversion."""
     letters: list = []
+    inversions: list = []
     images = _unit_images(g.n)  # w(alpha_j) for the word w so far
     target = rng.randint(1, max_len)
     while len(letters) < target:
@@ -282,11 +284,12 @@ def _random_reduced_word(g: GCM, rng: random.Random, max_len: int, max_height: i
             if min(root) < 0 or sum(root) > max_height:
                 continue
             letters.append(i)
+            inversions.append(RootVec(tuple(root)))
             _times_simple(g, images, i)
             break
         else:
             break
-    return tuple(letters)
+    return tuple(letters), inversions
 
 
 @lru_cache(maxsize=4)
@@ -299,16 +302,12 @@ def criterion_instances(config: SweepConfig = SweepConfig()):
     for idx in range(config.instances):
         matrix = _POOL[rng.randrange(len(_POOL))]
         g = _gcm(matrix)
-        word = _random_reduced_word(g, rng, config.max_word, config.max_root_height)
+        word, inversions = _random_reduced_word(g, rng, config.max_word,
+                                                config.max_root_height)
         tau = tuple(rng.randint(1, config.max_tau) for _ in range(g.n))
         tcw = Coweight(tau)
-        grades = sorted(
-            {
-                grade_of(bb, tcw)
-                for bb in inversion_set(g, WeylWord.of(word))
-                if grade_of(bb, tcw) <= config.max_d
-            }
-        )
+        grades = sorted({d for d in (grade_of(bb, tcw) for bb in inversions)
+                         if d <= config.max_d})
         # the first letter contributes a simple root of grade <= max_tau,
         # so there is always a realized degree within bounds
         d = rng.choice(grades)

@@ -221,6 +221,38 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def test_non_integer_matrices_are_not_gcms(capsys):
+    # no matrix is read as a different algebra, and a matrix that is not a
+    # list of rows is a domain error with a payload, not a Python message
+    for inline, named in (
+        ("[[2,-1.5],[-1,2]]", "entry A_12 = -1.5"),
+        ("[[2.9,-1],[-1,2]]", "entry A_11 = 2.9"),
+        ('[["2","-1"],["-1","2"]]', "entry A_11 = '2'"),
+        ('"x"', "'x'"),
+        ("[]", "[]"),
+    ):
+        code, out, err = run(capsys, "roots", "--gcm-inline", inline, "--height", "2")
+        assert code == 1 and out == ""
+        payload = json.loads(err.splitlines()[-1])
+        assert payload["error"] == "not_gcm"
+        assert named in payload["message"]
+
+
+def test_cap_must_be_positive(capsys, monkeypatch):
+    for cap in ("0", "-1"):
+        code, out, err = run(
+            capsys, "roots", "--gcm-inline", A2_INLINE, "--height", "2", "--cap", cap
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == f"kmjm: error: the cap must be >= 1, got {cap}"
+    monkeypatch.setenv("KMJM_CAP", "0")
+    code, out, err = run(capsys, "roots", "--gcm-inline", A2_INLINE, "--height", "2")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "kmjm: error: KMJM_CAP must be >= 1, got '0'"
+    monkeypatch.setenv("KMJM_CAP", "1")
+    assert run(capsys, "roots", "--gcm-inline", A2_INLINE, "--height", "2")[0] == 0
+
+
 def test_negative_heights_are_usage_errors(capsys):
     code, out, err = run(capsys, "roots", "--gcm-inline", H3_INLINE, "--height", "-2")
     assert code == 2 and out == ""

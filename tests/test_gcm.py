@@ -40,6 +40,33 @@ def test_rejects_non_gcm():
         validate_gcm([[2, Fraction(-1, 2)], [-1, 2]])  # integral entries
 
 
+@pytest.mark.parametrize(
+    "matrix, named",
+    [
+        ([[2, -1.5], [-1, 2]], "A_12 = -1.5"),
+        ([[2.9, -1], [-1, 2]], "A_11 = 2.9"),
+        ([[2, -1], [-1, 2.0]], "A_22 = 2.0"),  # integral floats too
+        ([["2", "-1"], ["-1", "2"]], "A_11 = '2'"),
+        ([[2, True], [-1, 2]], "A_12 = True"),
+        ([[2, -1], (-1, None)], "A_22 = None"),
+    ],
+)
+def test_entries_must_be_ints(matrix, named):
+    # no entry is converted: a non-integer matrix is not read as another one
+    with pytest.raises(NotGCM, match=f"entry {named} is not an integer"):
+        validate_gcm(matrix)
+
+
+@pytest.mark.parametrize("matrix", ["x", [], (), None, 3, [[2, -1], 7], ["22", "22"]])
+def test_matrix_must_be_a_nonempty_square_of_rows(matrix):
+    with pytest.raises(NotGCM):
+        validate_gcm(matrix)
+
+
+def test_tuple_rows_are_accepted():
+    assert validate_gcm(((2, -1), (-1, 2))) == validate_gcm([[2, -1], [-1, 2]])
+
+
 def test_rejects_non_symmetrizable():
     # odd cycle with mismatched products
     with pytest.raises(NotSymmetrizable):
@@ -88,6 +115,9 @@ def test_bilinear_form_anchors():
     assert bilinear_form(g, a1, a2) == -5
     assert norm(g, rootvec((1, 1))) == 10 - 10 + 2
     assert norm(g, rootvec((1, 4))) == 10 - 40 + 32
+    # the form is integral, and returned as an int
+    assert type(bilinear_form(g, a1, a2)) is int
+    assert type(norm(g, rootvec((1, 1)))) is int
 
 
 def test_gcm_value_object():

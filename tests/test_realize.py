@@ -306,6 +306,14 @@ def test_cap_resolution(monkeypatch):
     assert resolve_cap(7) == 7
     monkeypatch.setenv("KMJM_CAP", "abc")
     assert resolve_cap(7) == 7
+    # a cap below 1 would fail every build, so it is rejected where it is read
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"the cap must be >= 1, got {bad}"):
+            resolve_cap(bad)
+    monkeypatch.setenv("KMJM_CAP", "0")
+    with pytest.raises(ValueError, match="KMJM_CAP must be >= 1, got '0'"):
+        resolve_cap()
+    monkeypatch.setenv("KMJM_CAP", "abc")
     with pytest.raises(ValueError, match="KMJM_CAP must be an integer, got 'abc'"):
         truncated_on_demand(validate_gcm(A2), 4)
 

@@ -134,14 +134,16 @@ def _reference_reduced_word(g, rng, max_len, max_height):
 
 
 def test_word_growth_matches_full_inversion_sets():
+    # the same word as the reference, and the inversions it accepted are the
+    # word's inversion set, in order
     for seed in range(6):
         for max_height in (3, 12):
             ours, ref = random.Random(seed), random.Random(seed)
             for matrix in _POOL:
                 g = _gcm(matrix)
-                assert _random_reduced_word(g, ours, 10, max_height) == (
-                    _reference_reduced_word(g, ref, 10, max_height)
-                )
+                word, inversions = _random_reduced_word(g, ours, 10, max_height)
+                assert word == _reference_reduced_word(g, ref, 10, max_height)
+                assert inversions == inversion_set(g, WeylWord.of(word))
 
 
 def test_oracle_keeps_one_table_per_matrix(monkeypatch):
