@@ -17,6 +17,7 @@ from importlib import import_module as _import_module
 
 from .errors import (
     DegenerateDenominator,
+    EmptySlice,
     HeightOutOfRange,
     InternalInconsistency,
     KmjmError,
@@ -89,6 +90,7 @@ _LAZY = {
 
 __all__ = [
     "DegenerateDenominator",
+    "EmptySlice",
     "HeightOutOfRange",
     "InternalInconsistency",
     "KmjmError",

@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import KmjmError, NotPiSystem, NotReduced, resolve_cap
+from .errors import EmptySlice, KmjmError, NotPiSystem, NotReduced, resolve_cap
 from .gcm import norm as root_norm
 from .gcm import validate_gcm
 from .grading import check_finite_grading, phi_w_d
@@ -42,14 +42,6 @@ _SUITE_NAMES = (
 
 class UsageError(Exception):
     pass
-
-
-class _StructuredError(Exception):
-    """Domain failure with a prebuilt stderr payload (no error class)."""
-
-    def __init__(self, code: str, message: str, **context):
-        super().__init__(message)
-        self.payload = {"error": code, "message": message, "context": context}
 
 
 class RunConfig(Value):
@@ -211,7 +203,9 @@ def _roots_json(text: str, n: int):
         raise UsageError("--roots must be a nonempty JSON array of coefficient rows")
     out = []
     for row in data:
-        if not isinstance(row, list) or len(row) != n or not all(isinstance(x, int) for x in row):
+        if not isinstance(row, list) or len(row) != n or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in row
+        ):
             raise UsageError(f"each root needs {n} integer coefficients, got {row!r}")
         out.append(rootvec(row))
     return out
@@ -352,8 +346,8 @@ def _cmd_sl2(args, rc: RunConfig):
     elif args.word and args.tau and args.degree is not None:
         roots = phi_w_d(g, _word_of(args, g), _tau_of(args, g), args.degree)
         if not roots:
-            raise _StructuredError(
-                "empty_slice", "the requested slice is empty; nothing to extend",
+            raise EmptySlice(
+                "the requested slice is empty; nothing to extend",
                 word=args.word, tau=args.tau, d=args.degree,
             )
     else:
@@ -436,8 +430,8 @@ def _cmd_rank2(args, rc: RunConfig):
     from .sl2 import build_triple, realize_triple, verify_triple_elements
 
     if verdict.kind == "Empty":
-        raise _StructuredError(
-            "empty_slice", "the requested slice is empty; nothing to extend",
+        raise EmptySlice(
+            "the requested slice is empty; nothing to extend",
             word=args.word, tau=args.tau, d=args.degree,
         )
     height = _height_of(args, rc, 12)
@@ -513,9 +507,6 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"kmjm: error: {err}", file=sys.stderr)
         return 2
-    except _StructuredError as err:
-        print(json.dumps(err.payload), file=sys.stderr)
-        return 1
     except KmjmError as err:
         print(json.dumps(err.as_dict()), file=sys.stderr)
         return 1

@@ -83,6 +83,10 @@ class ZeroElement(KmjmError):
     code = "zero_element"
 
 
+class EmptySlice(KmjmError):
+    code = "empty_slice"
+
+
 class ResourceCap(KmjmError):
     code = "resource_cap"
 

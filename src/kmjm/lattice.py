@@ -138,8 +138,13 @@ class RootVec(Value):
 
 
 def rootvec(coeffs: Iterable[int]) -> RootVec:
-    """A RootVec from any iterable of integers, each converted with int()."""
-    return RootVec(tuple(int(c) for c in coeffs))
+    """A RootVec from any iterable of integers.  Only an int is an entry: a
+    bool, a float (even an integral one) or a string raises TypeError."""
+    coeffs = tuple(coeffs)
+    for c in coeffs:
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise TypeError(f"root coefficient {c!r} is not an integer")
+    return RootVec(coeffs)
 
 
 def simple_root(n: int, i: int) -> RootVec:

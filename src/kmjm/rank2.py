@@ -370,9 +370,10 @@ def build_exceptional_triple(g: GCM, verdict: IntersectionVerdict, x, y,
     exp((y/x) ad e_adj); the series terminates exactly because one more step
     leaves the root lattice.  Case I rides the reflection operator into the
     case II configuration, builds there, and rides back.  Either coefficient
-    may be zero (not both), collapsing to a plain real-root triple.
+    may be zero (not both), collapsing to a plain real-root triple.  Each is
+    an int or a Fraction; anything else raises TypeError.
     """
-    from .realize import real_root_vector, simple_reflection
+    from .realize import _exact, real_root_vector, simple_reflection
     from .sl2 import RealizedTriple
 
     a, b = ab_of(g)
@@ -380,8 +381,8 @@ def build_exceptional_triple(g: GCM, verdict: IntersectionVerdict, x, y,
         raise ValueError("the algebra was built for a different matrix")
     if not verdict.exceptional:
         raise ValueError(f"verdict {verdict.kind} does not need the exceptional repair")
-    x = Fraction(x)
-    y = Fraction(y)
+    x = Fraction(_exact(x))
+    y = Fraction(_exact(y))
     if x == 0 and y == 0:
         raise ZeroElement("x = y = 0 does not give a nilpotent to extend")
     lower, upper = sorted(verdict.roots)

@@ -174,9 +174,14 @@ def _key_to_id(key):
 
 
 def _exact(x):
-    # x as an int when it is integral, else as a Fraction
-    q = Fraction(x)
-    return q.numerator if q.denominator == 1 else q
+    # x as an int when it is integral, else as a Fraction.  A scalar is an int
+    # or a Fraction: a bool is refused, and so is a float, which Fraction()
+    # would read as its binary value (0.1 is not 1/10)
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        raise TypeError(f"a scalar must be an int or a Fraction, got {x!r}")
+    return x.numerator if x.denominator == 1 else x
 
 
 class AlgElement:
@@ -854,9 +859,9 @@ def exp_ad(alg: TruncatedAlgebra, x: AlgElement, y: AlgElement, t) -> AlgElement
 
     x must live in a single root space (so its adjoint action shifts degrees
     uniformly).  If the series reaches the height bound before provably
-    terminating, TruncationAmbiguous is raised.
+    terminating, TruncationAmbiguous is raised.  t is an int or a Fraction.
     """
-    t = Fraction(t)
+    t = Fraction(_exact(t))
     if x.is_zero() or t == 0:
         return y
     where = _single_degree(x)

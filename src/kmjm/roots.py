@@ -53,10 +53,7 @@ __all__ = [
     "is_root",
     "coroot_pairing",
     "coroot_coords",
-    "root_norm",
 ]
-
-root_norm = norm
 
 
 def real_roots_up_to_height(g: GCM, height: int) -> list[RootVec]:

@@ -22,6 +22,7 @@ from .pisystem import PiSystem
 from .realize import (
     AlgElement,
     TruncatedAlgebra,
+    _exact,
     companion_vector,
     real_root_vector,
 )
@@ -73,11 +74,12 @@ class RealizedTriple(Value):
 
 
 def build_triple(sigma: PiSystem, coeffs=None) -> SL2Triple:
+    # the weights are ints or Fractions (all 1 when not given)
     m = sigma.size
     if coeffs is None:
         cs = tuple(Fraction(1) for _ in range(m))
     else:
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(Fraction(_exact(c)) for c in coeffs)
         if len(cs) != m:
             raise ValueError(f"need {m} weights, got {len(cs)}")
         for k, c in enumerate(cs):

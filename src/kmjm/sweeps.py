@@ -39,19 +39,27 @@ __all__ = [
 ]
 
 
+# The fixed bounds of the sweeps: the length of a random word, the largest
+# coweight value and degree of a random instance, the height its inversions
+# stay within (also the height of rank2-theorem's algebras), and the heights
+# up to which a triple is realized and checked on root data.
+MAX_WORD = 10
+MAX_TAU = 3
+MAX_D = 20
+MAX_ROOT_HEIGHT = 12
+REALIZE_HEIGHT_CUTOFF = 8
+SYMBOLIC_HEIGHT_CUTOFF = 24
+
+
 class SweepConfig(Value):
-    """Bounds for the randomized and gridded sweeps.  Everything downstream
-    of a config is deterministic, including the random instance set."""
+    """The seed, the number of random instances and the dimension cap of a
+    sweep.  Everything downstream of a config is deterministic, including the
+    random instance set."""
 
-    __slots__ = ("seed", "instances", "max_word", "max_tau", "max_d", "max_root_height",
-                 "realize_height_cutoff", "symbolic_height_cutoff", "cap")
+    __slots__ = ("seed", "instances", "cap")
 
-    def __init__(self, seed: int = 20260819, instances: int = 500, max_word: int = 10,
-                 max_tau: int = 3, max_d: int = 20, max_root_height: int = 12,
-                 realize_height_cutoff: int = 8, symbolic_height_cutoff: int = 24,
-                 cap: int | None = None):
-        self._init(seed, instances, max_word, max_tau, max_d, max_root_height,
-                   realize_height_cutoff, symbolic_height_cutoff, cap)
+    def __init__(self, seed: int = 20260819, instances: int = 500, cap: int | None = None):
+        self._init(seed, instances, cap)
 
 
 class SuiteReport(Value):
@@ -114,12 +122,22 @@ def _alternating_words(max_len: int) -> list:
     return out
 
 
-def _finite_grading_taus(g: GCM, bound: int) -> list:
-    return [
-        t
-        for t in product(range(bound + 1), repeat=g.n)
-        if check_finite_grading(g, Coweight(t))
-    ]
+def _rank2_grid(pairs, tau_bound: int, max_len: int):
+    """The grid of the rank-2 suites, one item per coweight.  For each (a, b)
+    in pairs, each alternating word up to max_len and each finite-grading
+    coweight with values up to tau_bound, yields (a, b, g, word, tau,
+    inversions, counts): g is [[2, -b], [-a, 2]], word a WeylWord, tau a
+    Coweight, and counts the number of the word's inversions of each grade.
+    The suites test the degrees."""
+    for a, b in pairs:
+        g = _gcm(_rank2_matrix(a, b))
+        taus = [Coweight(t) for t in product(range(tau_bound + 1), repeat=2)]
+        taus = [tau for tau in taus if check_finite_grading(g, tau)]
+        for letters in _alternating_words(max_len):
+            word = WeylWord.of(letters)
+            inv = inversion_set(g, word)
+            for tau in taus:
+                yield a, b, g, word, tau, inv, Counter(grade_of(bb, tau) for bb in inv)
 
 
 # ---------------------------------------------------------------------------
@@ -128,31 +146,19 @@ def _finite_grading_taus(g: GCM, bound: int) -> list:
 def run_symprop(config: SweepConfig = SweepConfig()) -> SuiteReport:
     cases = 0
     failures = []
-    for a in (3, 4, 5):
-        g = _gcm(_rank2_matrix(a, a))
-        taus = _finite_grading_taus(g, 5)
-        for word in _alternating_words(12):
-            inv = inversion_set(g, WeylWord.of(word))
-            for tau in taus:
-                tcw = Coweight(tau)
-                grades = [grade_of(bb, tcw) for bb in inv]
-                counts = Counter(grades)
-                for d in range(1, 31):
-                    cases += 1
-                    if counts.get(d, 0) > 1:
-                        failures.append(
-                            {
-                                "a": a,
-                                "word": list(word),
-                                "tau": list(tau),
-                                "d": d,
-                                "slice": [
-                                    list(bb.coeffs)
-                                    for bb, gr in zip(inv, grades)
-                                    if gr == d
-                                ],
-                            }
-                        )
+    for a, _, _, word, tau, inv, counts in _rank2_grid(((3, 3), (4, 4), (5, 5)), 5, 12):
+        cases += 30
+        for d in range(1, 31):
+            if counts.get(d, 0) > 1:
+                failures.append(
+                    {
+                        "a": a,
+                        "word": list(word.letters),
+                        "tau": list(tau.values),
+                        "d": d,
+                        "slice": [list(bb.coeffs) for bb in inv if grade_of(bb, tau) == d],
+                    }
+                )
     return SuiteReport("symprop", config.seed, cases, tuple(failures))
 
 
@@ -167,45 +173,37 @@ def run_permissable(config: SweepConfig = SweepConfig()) -> SuiteReport:
 
     cases = 0
     failures = []
-    for a, b in _PERMISSABLE_AB:
-        g = _gcm(_rank2_matrix(a, b))
-        taus = _finite_grading_taus(g, 5)
-        for word in _alternating_words(12):
-            ww = WeylWord.of(word)
-            inv = inversion_set(g, ww)
-            for tau in taus:
-                tcw = Coweight(tau)
-                counts = Counter(grade_of(bb, tcw) for bb in inv)
-                for d in range(1, 31):
-                    cases += 1
-                    n = counts.get(d, 0)
-                    if n <= 1:
-                        continue
-                    rec = {
-                        "a": a,
-                        "b": b,
-                        "word": list(word),
-                        "tau": list(tau),
-                        "d": d,
-                        "size": n,
-                    }
-                    if n > 2:
-                        rec["problem"] = "slice has more than two roots"
-                        failures.append(rec)
-                        continue
-                    if min(a, b) > 1:
-                        rec["problem"] = "two-root slice with min(a,b) > 1"
-                        failures.append(rec)
-                        continue
-                    try:
-                        verdict = classify_intersection(g, ww, tcw, d)
-                    except KmjmError as err:
-                        rec["problem"] = f"classification failed: {err}"
-                        failures.append(rec)
-                        continue
-                    if not verdict.exceptional:
-                        rec["problem"] = f"verdict {verdict.kind} for a two-root slice"
-                        failures.append(rec)
+    for a, b, g, word, tau, _, counts in _rank2_grid(_PERMISSABLE_AB, 5, 12):
+        cases += 30
+        for d in range(1, 31):
+            n = counts.get(d, 0)
+            if n <= 1:
+                continue
+            rec = {
+                "a": a,
+                "b": b,
+                "word": list(word.letters),
+                "tau": list(tau.values),
+                "d": d,
+                "size": n,
+            }
+            if n > 2:
+                rec["problem"] = "slice has more than two roots"
+                failures.append(rec)
+                continue
+            if min(a, b) > 1:
+                rec["problem"] = "two-root slice with min(a,b) > 1"
+                failures.append(rec)
+                continue
+            try:
+                verdict = classify_intersection(g, word, tau, d)
+            except KmjmError as err:
+                rec["problem"] = f"classification failed: {err}"
+                failures.append(rec)
+                continue
+            if not verdict.exceptional:
+                rec["problem"] = f"verdict {verdict.kind} for a two-root slice"
+                failures.append(rec)
     return SuiteReport("permissable", config.seed, cases, tuple(failures))
 
 
@@ -302,39 +300,60 @@ def criterion_instances(config: SweepConfig = SweepConfig()):
     for idx in range(config.instances):
         matrix = _POOL[rng.randrange(len(_POOL))]
         g = _gcm(matrix)
-        word, inversions = _random_reduced_word(g, rng, config.max_word,
-                                                config.max_root_height)
-        tau = tuple(rng.randint(1, config.max_tau) for _ in range(g.n))
+        word, inversions = _random_reduced_word(g, rng, MAX_WORD, MAX_ROOT_HEIGHT)
+        tau = tuple(rng.randint(1, MAX_TAU) for _ in range(g.n))
         tcw = Coweight(tau)
-        grades = sorted({d for d in (grade_of(bb, tcw) for bb in inversions)
-                         if d <= config.max_d})
-        # the first letter contributes a simple root of grade <= max_tau,
+        grades = sorted({d for d in (grade_of(bb, tcw) for bb in inversions) if d <= MAX_D})
+        # the first letter contributes a simple root of grade <= MAX_TAU,
         # so there is always a realized degree within bounds
         d = rng.choice(grades)
         out.append(SweepInstance(idx, matrix, word, tau, d))
     return tuple(out)
 
 
-def _oracle_heights(insts, slices, floor: int = 0) -> dict:
-    # per matrix, twice the tallest slice height and at least floor
+def _instance_cases(config: SweepConfig, floor: int = 0) -> list:
+    """(instance, GCM, slice, oracle table) for each random instance.  A
+    matrix's table covers twice its tallest slice, and at least floor; asking
+    for that height up front computes each table once."""
+    insts = criterion_instances(config)
+    slices = [inst.slice_roots() for inst in insts]
     need: dict = {}
     for inst, roots in zip(insts, slices):
-        hmax = max(bb.height for bb in roots)
-        need[inst.matrix] = max(need.get(inst.matrix, floor), 2 * hmax)
-    return need
+        need[inst.matrix] = max(need.get(inst.matrix, floor), 2 * max(bb.height for bb in roots))
+    return [(inst, _gcm(inst.matrix), roots, _oracle(inst.matrix, need[inst.matrix]))
+            for inst, roots in zip(insts, slices)]
+
+
+def _check_triple(matrix, roots, coeffs, table, height: int, cap) -> str | None:
+    """The problem with the sl2-triple of weights coeffs on the pi-system of
+    roots, or None.  The triple is built and checked on root data, then
+    realized in the matrix's algebra of the given height when every root
+    fits it."""
+    from .sl2 import build_triple, verify_realized, verify_symbolic
+
+    try:
+        triple = build_triple(make_pi_system(_gcm(matrix), roots, table), coeffs)
+    except KmjmError as err:
+        return f"triple construction failed: {err}"
+    if not verify_symbolic(triple):
+        return "symbolic relations failed"
+    if max(bb.height for bb in roots) > height:
+        return None
+    alg = _algebra(matrix, height, cap)
+    try:
+        ok = verify_realized(triple, alg)
+    except KmjmError as err:
+        return f"realization failed: {err}"
+    return None if ok else "realized relations failed"
 
 
 # ---------------------------------------------------------------------------
 # suite: reg-grade — every random slice is a finite-type pi-system
 
 def run_reg_grade(config: SweepConfig = SweepConfig()) -> SuiteReport:
-    insts = criterion_instances(config)
-    slices = [inst.slice_roots() for inst in insts]
-    need = _oracle_heights(insts, slices)
+    cases = _instance_cases(config)
     failures = []
-    for inst, roots in zip(insts, slices):
-        g = _gcm(inst.matrix)
-        table = _oracle(inst.matrix, need[inst.matrix])
+    for inst, g, roots, table in cases:
         rec = inst.describe()
         try:
             sigma = make_pi_system(g, roots, table)
@@ -348,71 +367,31 @@ def run_reg_grade(config: SweepConfig = SweepConfig()) -> SuiteReport:
         span, _ = _span_of([dict(enumerate(row)) for row in sigma.b_matrix])
         if len(span) < len(sigma.b_matrix):
             failures.append({**rec, "problem": "induced matrix is singular"})
-    return SuiteReport("reg-grade", config.seed, len(insts), tuple(failures))
+    return SuiteReport("reg-grade", config.seed, len(cases), tuple(failures))
 
 
 # ---------------------------------------------------------------------------
 # suite: regdomthm — every random slice extends to an sl2-triple
 
 def run_regdomthm(config: SweepConfig = SweepConfig()) -> SuiteReport:
-    from .sl2 import build_triple, verify_realized, verify_symbolic
-
-    insts = criterion_instances(config)
-    slices = [inst.slice_roots() for inst in insts]
-    # a matrix with a slice of height <= the cutoff is also realized, which
-    # needs a table of the cutoff height; asking for it up front builds each
-    # table once (a matrix with no such slice needs more than twice that)
-    need = _oracle_heights(insts, slices, floor=config.realize_height_cutoff)
+    # a slice of height <= the cutoff is also realized, which needs a table of
+    # the cutoff height (a matrix with no such slice needs more than twice that)
+    cases = _instance_cases(config, floor=REALIZE_HEIGHT_CUTOFF)
     failures = []
-    for inst, roots in zip(insts, slices):
-        g = _gcm(inst.matrix)
-        table = _oracle(inst.matrix, need[inst.matrix])
-        rec = inst.describe()
+    for inst, _, roots, table in cases:
         rng = random.Random(config.seed * 1_000_003 + inst.index)
         coeffs = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in roots)
-        rec["coeffs"] = list(coeffs)
-        try:
-            sigma = make_pi_system(g, roots, table)
-            triple = build_triple(sigma, coeffs)
-        except KmjmError as err:
-            failures.append({**rec, "problem": f"triple construction failed: {err}"})
-            continue
-        if not verify_symbolic(triple):
-            failures.append({**rec, "problem": "symbolic relations failed"})
-            continue
-        hmax = max(bb.height for bb in roots)
-        if hmax <= config.realize_height_cutoff:
-            alg = _algebra(inst.matrix, config.realize_height_cutoff, config.cap)
-            try:
-                ok = verify_realized(triple, alg)
-            except KmjmError as err:
-                failures.append({**rec, "problem": f"realization failed: {err}"})
-                continue
-            if not ok:
-                failures.append({**rec, "problem": "realized relations failed"})
-    return SuiteReport("regdomthm", config.seed, len(insts), tuple(failures))
+        problem = _check_triple(inst.matrix, roots, coeffs, table, REALIZE_HEIGHT_CUTOFF,
+                                config.cap)
+        if problem:
+            failures.append({**inst.describe(), "coeffs": list(coeffs), "problem": problem})
+    return SuiteReport("regdomthm", config.seed, len(cases), tuple(failures))
 
 
 # ---------------------------------------------------------------------------
 # suite: rank2-theorem — every nonempty slice verdict extends to a triple
 
 _PINNED_XY = ((1, 1), (2, 3), (1, -1))
-
-
-def _check_single(g, alg, table, beta) -> str | None:
-    from .sl2 import build_triple, verify_realized, verify_symbolic
-
-    try:
-        sigma = make_pi_system(g, [beta], table)
-        triple = build_triple(sigma)
-        if not verify_symbolic(triple):
-            return "symbolic relations failed"
-        if beta.height <= alg.height:
-            if not verify_realized(triple, alg):
-                return "realized relations failed"
-    except KmjmError as err:
-        return f"{type(err).__name__}: {err}"
-    return None
 
 
 def _check_pair(g, alg, verdict, x, y) -> str | None:
@@ -433,51 +412,41 @@ def run_rank2_theorem(config: SweepConfig = SweepConfig()) -> SuiteReport:
 
     cases = 0
     failures = []
-    alg_h = config.max_root_height
-    for a, b in _PERMISSABLE_AB:
+    checked: dict = {}  # (matrix, root or verdict) -> its problem, or None
+    for a, b, g, word, tau, _, counts in _rank2_grid(_PERMISSABLE_AB, MAX_TAU, 6):
         matrix = _rank2_matrix(a, b)
-        g = _gcm(matrix)
-        alg = _algebra(matrix, alg_h, config.cap)
-        table = _oracle(matrix, 2 * config.symbolic_height_cutoff)
-        taus = _finite_grading_taus(g, config.max_tau)
-        checked: dict = {}
-        for word in _alternating_words(6):
-            ww = WeylWord.of(word)
-            inv = inversion_set(g, ww)
-            for tau in taus:
-                tcw = Coweight(tau)
-                counts = Counter(grade_of(bb, tcw) for bb in inv)
-                for d in range(1, 13):
-                    if not counts.get(d, 0):
-                        continue
-                    cases += 1
-                    rec = {"a": a, "b": b, "word": list(word), "tau": list(tau), "d": d}
-                    try:
-                        verdict = classify_intersection(g, ww, tcw, d)
-                    except KmjmError as err:
-                        failures.append(
-                            {**rec, "problem": f"classification failed: {err}"}
-                        )
-                        continue
-                    if verdict.kind == "Single":
-                        beta = verdict.root
-                        if beta.height > config.symbolic_height_cutoff:
-                            # beyond the verification window at this scale
-                            continue
-                        key = beta.coeffs
-                        if key not in checked:
-                            checked[key] = _check_single(g, alg, table, beta)
-                    else:
-                        key = (verdict.kind, tuple(bb.coeffs for bb in verdict.roots))
-                        if key not in checked:
-                            checked[key] = _check_pair(g, alg, verdict, 1, 1)
-                    if checked[key]:
-                        failures.append({**rec, "problem": checked[key]})
+        for d in range(1, 13):
+            if not counts.get(d, 0):
+                continue
+            cases += 1
+            rec = {"a": a, "b": b, "word": list(word.letters), "tau": list(tau.values), "d": d}
+            try:
+                verdict = classify_intersection(g, word, tau, d)
+            except KmjmError as err:
+                failures.append({**rec, "problem": f"classification failed: {err}"})
+                continue
+            if verdict.kind == "Single":
+                beta = verdict.root
+                if beta.height > SYMBOLIC_HEIGHT_CUTOFF:
+                    # beyond the verification window at this scale
+                    continue
+                key = (matrix, beta.coeffs)
+                if key not in checked:
+                    table = _oracle(matrix, 2 * SYMBOLIC_HEIGHT_CUTOFF)
+                    checked[key] = _check_triple(matrix, [beta], None, table,
+                                                 MAX_ROOT_HEIGHT, config.cap)
+            else:
+                key = (matrix, verdict.kind, tuple(bb.coeffs for bb in verdict.roots))
+                if key not in checked:
+                    alg = _algebra(matrix, MAX_ROOT_HEIGHT, config.cap)
+                    checked[key] = _check_pair(g, alg, verdict, 1, 1)
+            if checked[key]:
+                failures.append({**rec, "problem": checked[key]})
     # pinned exceptional grid: both repair cases, three coefficient pairs
     for a in (5, 6):
         matrix = _rank2_matrix(a, 1)
         g = _gcm(matrix)
-        alg = _algebra(matrix, alg_h, config.cap)
+        alg = _algebra(matrix, MAX_ROOT_HEIGHT, config.cap)
         for word, d in (((1, 2), 1), ((2, 1, 2), 1)):
             verdict = classify_intersection(g, WeylWord.of(word), Coweight((1, 0)), d)
             for x, y in _PINNED_XY:

@@ -2,7 +2,9 @@ import hashlib
 import json
 import sys
 
-from kmjm.cli import _roots_json, main
+import pytest
+
+from kmjm.cli import UsageError, _roots_json, main
 
 H3_INLINE = "[[2,-3],[-3,2]]"
 H51_INLINE = "[[2,-1],[-5,2]]"
@@ -99,8 +101,10 @@ def test_sl2_empty_slice_is_structured_error(capsys):
     )
     assert code == 1
     assert out == ""
-    payload = json.loads(err.splitlines()[-1])
-    assert payload["error"] == "empty_slice"
+    assert err.splitlines()[-1] == (
+        '{"error": "empty_slice", "message": "the requested slice is empty; nothing to '
+        'extend", "context": {"word": "2,1,2", "tau": "1,1", "d": 2}}'
+    )
 
 
 def test_sl2_singular_b(capsys):
@@ -321,16 +325,15 @@ def test_config_height_zero_is_a_height(capsys, tmp_path):
         assert err.splitlines()[-1] == "kmjm: error: height bound must be >= 1, got 0"
 
 
-def test_pisys_boolean_coefficients_read_as_integers(capsys):
-    # JSON true is an integer to the parser; the root is converted at the boundary
-    code, out, _ = run(capsys, "pisys", "--gcm-inline", A2_INLINE, "--roots", "[[true,0]]")
-    assert code == 0
-    assert out == (
-        '{\n  "pi_system": true,\n  "B": [\n    [\n      2\n    ]\n  ],\n'
-        '  "type": "finite",\n  "independent": true\n}\n'
-    )
-    (root,) = _roots_json("[[true,0]]", 2)
-    assert [type(c) for c in root.coeffs] == [int, int]
+def test_pisys_boolean_coefficients_are_usage_errors(capsys):
+    # JSON true is an integer to the parser, but not a root coefficient
+    code, out, err = run(capsys, "pisys", "--gcm-inline", A2_INLINE, "--roots", "[[true,0]]")
+    assert code == 2 and out == ""
+    assert "each root needs 2 integer coefficients, got [True, 0]" in err
+    with pytest.raises(UsageError):
+        _roots_json("[[1,false]]", 2)
+    (root,) = _roots_json("[[1,0]]", 2)
+    assert root.coeffs == (1, 0)
 
 
 def test_help_exits_zero(capsys):

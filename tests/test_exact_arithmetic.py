@@ -1,13 +1,14 @@
 """Realization arithmetic is exact and integer-first: every coefficient is an
 int or a Fraction, never a float (nor a bool), and the constructors and
-integral scalars give ints."""
+integral scalars give ints.  A float or a bool given as a scalar is refused,
+not read as its binary value."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import A2_AFFINE, H3, H51
+from conftest import A2, A2_AFFINE, H3, H51
 from kmjm import (
     Coweight,
     HeightOutOfRange,
@@ -15,11 +16,14 @@ from kmjm import (
     WeylWord,
     bilinear_form,
     build_exceptional_triple,
+    build_triple,
     classify_intersection,
     companion_vector,
     exp_ad,
+    make_pi_system,
     norm,
     real_root_vector,
+    rootvec,
     simple_reflection,
     validate_gcm,
     verify_triple_elements,
@@ -62,7 +66,7 @@ def test_realization_coefficients_are_never_floats(algebra, matrix, height):
     basis = [b for v in roots for b in alg.positive_basis(v)]
     _assert_ints(*gens, *basis, *alg.negative_basis(roots[-1]))
     _assert_ints(alg.cartan([Fraction(2 * k, 2) for k in range(1, n + 1)]))
-    for s in (3, -1, Fraction(4, 2), True):
+    for s in (3, -1, Fraction(4, 2)):
         _assert_ints(*(s * x for x in gens))
     half = Fraction(1, 2) * alg.e(1)
     assert half.terms == {k: Fraction(1, 2) for k in alg.e(1).terms}
@@ -129,3 +133,33 @@ def test_exceptional_case_one_triple_is_exact(algebra, monkeypatch):
         _assert_exact(t.e, t.h, t.f)
         assert verify_triple_elements(alg, t)
     assert ratios and all(type(r) in (int, Fraction) for r in ratios)
+
+
+def test_float_and_bool_scalars_are_refused(algebra):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    alg = algebra(A2, 2)
+    e, f = alg.e(1), alg.f(1)
+    for bad in (0.1, 2.0, True):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            bad * e
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            e * bad
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            alg.cartan([bad, 1])
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            exp_ad(alg, e, f, bad)
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            build_triple(make_pi_system(alg.gcm, [rootvec((1, 0))]), (bad,))
+    # an exact tenth: exp(t ad e_1) f_1 = f_1 + t h_1 - t^2 e_1
+    tenth = Fraction(1, 10)
+    assert (tenth * e).terms == {k: tenth for k in e.terms}
+    assert exp_ad(alg, e, f, tenth) == f + tenth * alg.h(1) - Fraction(1, 100) * e
+
+
+def test_exceptional_triple_refuses_float_coefficients(algebra):
+    g = validate_gcm(H51)
+    alg = algebra(H51, 12)
+    verdict = classify_intersection(g, WeylWord((1, 2)), Coweight((1, 0)), 1)
+    for x, y in ((0.5, 1), (1, 2.0), (True, 1)):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            build_exceptional_triple(g, verdict, x, y, alg)

@@ -14,10 +14,11 @@ import kmjm
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 HEAVY = ("kmjm.realize", "kmjm.sl2", "kmjm.rank2", "kmjm.sweeps")
 
-# the public names of `kmjm` before its realization layer became lazy
+# the public names of `kmjm`: those it had before its realization layer became
+# lazy, and the error EmptySlice
 PUBLIC = {
-    "AlgElement", "Coweight", "DegenerateDenominator", "GCM", "HeightOutOfRange",
-    "InternalInconsistency", "IntersectionVerdict", "KmjmError", "MultTable",
+    "AlgElement", "Coweight", "DegenerateDenominator", "EmptySlice", "GCM",
+    "HeightOutOfRange", "InternalInconsistency", "IntersectionVerdict", "KmjmError", "MultTable",
     "NotDominant", "NotGCM", "NotHyperbolic", "NotPiSystem", "NotRealRoot",
     "NotReduced", "NotSymmetrizable", "OracleTooShort", "PiSystem", "Rank2Label",
     "RealizedTriple", "ResourceCap", "RootVec", "SL2Triple", "SUITES", "SingularB",

@@ -3,6 +3,8 @@ import random
 from collections import Counter
 from functools import lru_cache
 
+import pytest
+
 from kmjm import NotReduced, WeylWord, peterson_multiplicities, simple_root
 from kmjm import sweeps
 from kmjm.sweeps import (
@@ -48,6 +50,15 @@ def test_instances_are_deterministic():
     assert out.hexdigest() == (
         "506d834f7bc0e5f9d5f4b91d315c8d5dcc19e86fd0f60c89b15ca9aa9899bad1"
     )
+
+
+def test_sweep_bounds_are_module_constants():
+    # a config sets only seed, instances and cap; the other bounds are fixed
+    bounds = (sweeps.MAX_WORD, sweeps.MAX_TAU, sweeps.MAX_D, sweeps.MAX_ROOT_HEIGHT,
+              sweeps.REALIZE_HEIGHT_CUTOFF, sweeps.SYMBOLIC_HEIGHT_CUTOFF)
+    assert bounds == (10, 3, 20, 12, 8, 24)
+    with pytest.raises(TypeError):
+        SweepConfig(max_word=4)
 
 
 def test_other_seed_changes_instances():
@@ -185,3 +196,14 @@ def test_regdomthm_builds_one_table_per_matrix(monkeypatch):
     matrices = {inst.matrix for inst in sweeps.criterion_instances(config)}
     assert len(calls) == len(matrices) == 25
     assert set(calls) == matrices
+
+
+def test_triple_check_names_the_failing_step():
+    m = ((2, -1), (-1, 2))
+    table = sweeps._oracle(m, 4)
+    a1, a2 = simple_root(2, 1), simple_root(2, 2)
+    assert sweeps._check_triple(m, [a1], None, table, 2, None) is None
+    assert sweeps._check_triple(m, [a1, a2], (2, -3), table, 2, None) is None
+    # alpha_1 + alpha_2 minus alpha_1 is a root: no pi-system
+    problem = sweeps._check_triple(m, [a1, a1 + a2], None, table, 2, None)
+    assert problem.startswith("triple construction failed: ")

@@ -11,6 +11,7 @@ copy.
 import copy
 import dataclasses
 import pickle
+import re
 import types
 from fractions import Fraction
 
@@ -73,11 +74,9 @@ CASES = {
     ),
     RealizedTriple: ({"e": _NO, "h": _NO, "f": _NO}, ("e1", "h1", "f1"), ("e2", "h1", "f1")),
     SweepConfig: (
-        {"seed": 20260819, "instances": 500, "max_word": 10, "max_tau": 3, "max_d": 20,
-         "max_root_height": 12, "realize_height_cutoff": 8, "symbolic_height_cutoff": 24,
-         "cap": None},
+        {"seed": 20260819, "instances": 500, "cap": None},
         (),
-        (7, 50),
+        (7, 50, 100),
     ),
     SuiteReport: (
         {"suite": _NO, "seed": _NO, "cases": _NO, "failures": ()},
@@ -157,11 +156,15 @@ def test_value_type_matches_its_dataclass(cls):
 
 
 def test_rootvec_keeps_its_argument():
-    # RootVec takes an int tuple as it is; rootvec() converts outside input
+    # RootVec takes an int tuple as it is; rootvec() takes outside input, and
+    # only int entries: a bool, a float or a string is refused by name
     assert RootVec((True, 0)).coeffs[0] is True
-    v = rootvec([True, 0])
-    assert v.coeffs == (1, 0) and type(v.coeffs[0]) is int
+    v = rootvec([1, 0])
+    assert v.coeffs == (1, 0) and type(v.coeffs) is tuple
     assert v == RootVec((1, 0)) and hash(v) == hash(RootVec((1, 0)))
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            rootvec([bad, 0])
     assert Coweight([True, 2]).values == (1, 2) and WeylWord([1, 2]).letters == (1, 2)
 
 
