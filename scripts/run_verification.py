@@ -30,6 +30,8 @@ def main(argv=None) -> int:
     ap.add_argument("--max-failures", type=int, default=5,
                     help="how many failure records to include per suite")
     args = ap.parse_args(argv)
+    if args.instances < 1:
+        ap.error(f"--instances must be >= 1, got {args.instances}")
     try:
         cap = resolve_cap(args.cap)
     except ValueError as err:

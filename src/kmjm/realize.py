@@ -821,12 +821,9 @@ def truncated_on_demand(g: GCM, height: int, mode: str = "strict",
         raise ValueError(f"height bound must be >= 1, got {height}")
     if table is None or table.gcm != g or table.height < height:
         table = peterson_multiplicities(g, height)
-    if table.height > height:
-        table = MultTable(
-            gcm=g,
-            height=height,
-            mult={v: m for v, m in table.mult.items() if v.height <= height},
-        )
+    # a plain dict of the algebra's own heights keeps its lookups C-level, and
+    # fills a taller Peterson table only that far
+    table = MultTable(g, height, table.up_to(height))
     cap = resolve_cap(cap)
     estimated = g.n + 2 * sum(table.mult.values())
     if estimated > cap:

@@ -314,7 +314,8 @@ def criterion_instances(config: SweepConfig = SweepConfig()):
 def _instance_cases(config: SweepConfig, floor: int = 0) -> list:
     """(instance, GCM, slice, oracle table) for each random instance.  A
     matrix's table covers twice its tallest slice, and at least floor; asking
-    for that height up front computes each table once."""
+    for that height up front makes each table once, and each table computes
+    only the heights its readers reach (a slice's own, or an algebra's)."""
     insts = criterion_instances(config)
     slices = [inst.slice_roots() for inst in insts]
     need: dict = {}

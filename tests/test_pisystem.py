@@ -69,6 +69,25 @@ def test_default_oracle_is_twice_the_height(monkeypatch):
     assert heights == [10]
 
 
+def test_member_checks_fill_no_height_above_hmax(monkeypatch):
+    # the guard still asks for a 2*hmax oracle, but the member and difference
+    # checks read it only up to hmax, so no height above that is computed
+    made = []
+    monkeypatch.setattr(
+        pisystem, "peterson_multiplicities",
+        lambda g, h: made.append(peterson_multiplicities(g, h)) or made[-1],
+    )
+    for matrix, coeffs in ((A2, [(1, 0), (0, 1)]), (H51, [(1, 4)]), (H51, [(1, 1), (1, 5)])):
+        g = validate_gcm(matrix)
+        roots = [rootvec(c) for c in coeffs]
+        hmax = max(b.height for b in roots)
+        given = peterson_multiplicities(g, 2 * hmax)
+        assert make_pi_system(g, roots) == make_pi_system(g, roots, given)
+        for table in (made[-1], given):
+            assert table.height == 2 * hmax and table.mult._filled == hmax
+        assert given == peterson_multiplicities(g, 2 * hmax)
+
+
 def test_singleton_system(oracle):
     g = validate_gcm(H51)
     ps = make_pi_system(g, [rootvec((1, 4))], oracle(H51, 12))

@@ -34,6 +34,7 @@ from kmjm.realize import (
     AlgElement,
     _minus,
     lyndon_words,
+    peterson_multiplicities,
     resolve_cap,
     truncated_on_demand,
 )
@@ -643,6 +644,18 @@ def test_on_demand_builds_only_the_downward_closure():
     for c in ((0, 0, 0), (9, 0, 0), (1, -1, 1), (1, 1)):
         with pytest.raises(HeightOutOfRange):
             alg.positive_basis(rootvec(c))
+
+
+def test_on_demand_fills_a_taller_oracle_only_to_its_height():
+    # the algebra reads a plain dict of its own heights, equal to the oracle's
+    # there; the oracle's heights above the algebra stay uncomputed
+    g = validate_gcm(A2_AFFINE)
+    oracle = peterson_multiplicities(g, 12)
+    alg = truncated_on_demand(g, 5, table=oracle)
+    assert oracle.mult._filled == 5
+    assert type(alg.table.mult) is dict and alg.table.height == 5
+    assert alg.table == truncated_on_demand(g, 5).table
+    assert alg.table.mult == {v: m for v, m in oracle.mult.items() if v.height <= 5}
 
 
 def test_failed_degree_is_not_recorded(monkeypatch):

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -12,6 +14,7 @@ from kmjm import (
     bilinear_form,
     HeightOutOfRange,
     InternalInconsistency,
+    MultTable,
     coroot_pairing,
     is_root,
     norm,
@@ -119,24 +122,38 @@ def _table_digest(tab):
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
-@pytest.mark.parametrize(
-    "matrix, height, digest",
-    [
-        (H3, 16,
-         "a1cb00368e33dc80867596a03a7db48a4f1b8016db4444b497d490cffef26b3f"),
-        (((2, -2, -1), (-2, 2, -3), (-1, -3, 2)), 14,
-         "7728a9e6ba59026c2b92bd493b4bdd75a05563abef1d018adee55644f8bb0638"),
-        (A2_AFFINE, 12,
-         "de43dec0e2b979d15ff282379112ce02a0bc38166eb19bce2d6559e763d77744"),
-        (((2, -2, -1), (-2, 2, -3), (-1, -3, 2)), 22,
-         "09603d2ae7a59c2d7b3bb6fc1bb95aec1a85f698a5dcdfba34b5e6bdd6cb1dfb"),
-    ],
-)
+_PINNED_TABLES = [
+    (H3, 16,
+     "a1cb00368e33dc80867596a03a7db48a4f1b8016db4444b497d490cffef26b3f"),
+    (((2, -2, -1), (-2, 2, -3), (-1, -3, 2)), 14,
+     "7728a9e6ba59026c2b92bd493b4bdd75a05563abef1d018adee55644f8bb0638"),
+    (A2_AFFINE, 12,
+     "de43dec0e2b979d15ff282379112ce02a0bc38166eb19bce2d6559e763d77744"),
+    (((2, -2, -1), (-2, 2, -3), (-1, -3, 2)), 22,
+     "09603d2ae7a59c2d7b3bb6fc1bb95aec1a85f698a5dcdfba34b5e6bdd6cb1dfb"),
+]
+
+
+@pytest.mark.parametrize("matrix, height, digest", _PINNED_TABLES)
 def test_pinned_tables(matrix, height, digest):
     # recorded from the Fraction recurrence before it moved to integers, the
     # height-22 table from the integer one before its keys were packed
     tab = peterson_multiplicities(validate_gcm(matrix), height)
     assert _table_digest(tab) == digest
+
+
+@pytest.mark.parametrize("matrix, height, digest", _PINNED_TABLES)
+def test_low_first_read_keeps_the_pinned_tables(matrix, height, digest):
+    # a table read first at a low vector fills only that far, and read in
+    # full afterwards holds the same content as one read in full at once
+    g = validate_gcm(matrix)
+    tab = peterson_multiplicities(g, height)
+    low = rootvec((1,) * g.n)
+    assert tab.mult._filled == 0
+    m = tab.multiplicity(low)
+    assert tab.mult._filled == g.n
+    assert _table_digest(tab) == digest
+    assert tab.mult._filled == height and tab.multiplicity(low) == m
 
 
 @pytest.mark.parametrize(
@@ -154,11 +171,35 @@ def test_pinned_tables(matrix, height, digest):
 def test_recurrence_checks_fire(monkeypatch, matrix, sym, error, message):
     # an inconsistent symmetrization breaks the recurrence; its checks must
     # catch that with the same report as before
+    # at the first read that reaches the broken height, and at every read
+    # after it, even one below that height: a half-filled table never reads
+    # as complete
     g = validate_gcm(matrix)
     monkeypatch.setattr(roots.gcm_mod, "symmetrized", lambda _: sym)
-    with pytest.raises(error) as info:
-        peterson_multiplicities(g, 8)
-    assert str(info.value) == message
+    tab = peterson_multiplicities(g, 8)
+    for read in (tab.roots, lambda: tab.multiplicity(simple_root(2, 1))):
+        with pytest.raises(error) as info:
+            read()
+        assert str(info.value) == message
+
+
+def test_lazy_table_equals_its_plain_twin():
+    # the same content in a plain dict: equal both ways, and so are the
+    # pickle round trip and the copies, whatever was read before
+    g = validate_gcm(H3)
+    plain = MultTable(g, 10, dict(peterson_multiplicities(g, 10).mult))
+    assert type(plain.mult) is dict
+    for first_read in (None, rootvec((1, 1)), rootvec((4, 5))):
+        tab = peterson_multiplicities(g, 10)
+        if first_read is not None:
+            assert is_root(tab, first_read)
+        assert tab == plain and plain == tab and not tab != plain
+        assert tab == peterson_multiplicities(g, 10)
+        assert repr(tab) == repr(plain)
+        for twin in (pickle.loads(pickle.dumps(tab)), copy.copy(tab), copy.deepcopy(tab)):
+            assert twin == plain and plain == twin
+    other = MultTable(g, 10, {**plain.mult, rootvec((1, 1)): 2})
+    assert peterson_multiplicities(g, 10) != other
 
 
 def _naive_multiplicities(g, height):

@@ -1,0 +1,29 @@
+"""The command-line scripts under scripts/, run in-process through main."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
+_spec = importlib.util.spec_from_file_location("run_verification", _SCRIPT)
+run_verification = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(run_verification)
+
+
+@pytest.mark.parametrize("count", [-3, 0])
+def test_instance_count_below_one_is_a_usage_error(count, capsys):
+    # a count that checks nothing must not read as a passing suite
+    with pytest.raises(SystemExit) as info:
+        run_verification.main(["--suite", "reg-grade", "--instances", str(count)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--instances must be >= 1, got {count}" in captured.err
+
+
+def test_instance_count_sets_the_cases(capsys):
+    assert run_verification.main(["--suite", "reg-grade", "--instances", "5"]) == 0
+    line = json.loads(capsys.readouterr().out)
+    assert line["suite"] == "reg-grade" and line["cases"] == 5 and line["failures"] == []
