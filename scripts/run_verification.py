@@ -32,6 +32,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.instances < 1:
         ap.error(f"--instances must be >= 1, got {args.instances}")
+    if args.max_failures < 0:
+        ap.error(f"--max-failures must be >= 0, got {args.max_failures}")
     try:
         cap = resolve_cap(args.cap)
     except ValueError as err:

@@ -501,10 +501,7 @@ def main(argv=None) -> int:
             return result
         _emit(result, rc.fmt)
         return 0
-    except UsageError as err:
-        print(f"kmjm: error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (UsageError, ValueError) as err:
         print(f"kmjm: error: {err}", file=sys.stderr)
         return 2
     except KmjmError as err:

@@ -88,16 +88,13 @@ def _gcm(matrix) -> GCM:
     return validate_gcm([list(row) for row in matrix])
 
 
-_TABLES: dict = {}
-
-
-def _oracle(matrix, height: int) -> MultTable:
-    # one table per matrix, the tallest asked for so far: make_pi_system
-    # accepts a taller table and truncated_on_demand trims one
-    table = _TABLES.get(matrix)
-    if table is None or table.height < height:
-        table = _TABLES[matrix] = peterson_multiplicities(_gcm(matrix), height)
-    return table
+@lru_cache(maxsize=None)
+def _oracle(matrix) -> MultTable:
+    # one table per matrix, twice the tallest root any suite checks, so the
+    # 2*hmax guard of make_pi_system always holds; a table fills only the
+    # heights its readers reach, and truncated_on_demand trims it.  The keys
+    # are the suites' fixed matrices, so the cache stays bounded
+    return peterson_multiplicities(_gcm(matrix), 2 * SYMBOLIC_HEIGHT_CUTOFF)
 
 
 @lru_cache(maxsize=64)
@@ -105,7 +102,7 @@ def _algebra(matrix, height: int, cap=None):
     # a suite touches few degrees of each algebra; those are built on first use
     from .realize import truncated_on_demand
 
-    return truncated_on_demand(_gcm(matrix), height, cap=cap, table=_oracle(matrix, height))
+    return truncated_on_demand(_gcm(matrix), height, cap=cap, table=_oracle(matrix))
 
 
 def _rank2_matrix(a: int, b: int):
@@ -311,21 +308,7 @@ def criterion_instances(config: SweepConfig = SweepConfig()):
     return tuple(out)
 
 
-def _instance_cases(config: SweepConfig, floor: int = 0) -> list:
-    """(instance, GCM, slice, oracle table) for each random instance.  A
-    matrix's table covers twice its tallest slice, and at least floor; asking
-    for that height up front makes each table once, and each table computes
-    only the heights its readers reach (a slice's own, or an algebra's)."""
-    insts = criterion_instances(config)
-    slices = [inst.slice_roots() for inst in insts]
-    need: dict = {}
-    for inst, roots in zip(insts, slices):
-        need[inst.matrix] = max(need.get(inst.matrix, floor), 2 * max(bb.height for bb in roots))
-    return [(inst, _gcm(inst.matrix), roots, _oracle(inst.matrix, need[inst.matrix]))
-            for inst, roots in zip(insts, slices)]
-
-
-def _check_triple(matrix, roots, coeffs, table, height: int, cap) -> str | None:
+def _check_triple(matrix, roots, coeffs, height: int, cap) -> str | None:
     """The problem with the sl2-triple of weights coeffs on the pi-system of
     roots, or None.  The triple is built and checked on root data, then
     realized in the matrix's algebra of the given height when every root
@@ -333,7 +316,7 @@ def _check_triple(matrix, roots, coeffs, table, height: int, cap) -> str | None:
     from .sl2 import build_triple, verify_realized, verify_symbolic
 
     try:
-        triple = build_triple(make_pi_system(_gcm(matrix), roots, table), coeffs)
+        triple = build_triple(make_pi_system(_gcm(matrix), roots, _oracle(matrix)), coeffs)
     except KmjmError as err:
         return f"triple construction failed: {err}"
     if not verify_symbolic(triple):
@@ -352,12 +335,12 @@ def _check_triple(matrix, roots, coeffs, table, height: int, cap) -> str | None:
 # suite: reg-grade — every random slice is a finite-type pi-system
 
 def run_reg_grade(config: SweepConfig = SweepConfig()) -> SuiteReport:
-    cases = _instance_cases(config)
+    insts = criterion_instances(config)
     failures = []
-    for inst, g, roots, table in cases:
+    for inst in insts:
         rec = inst.describe()
         try:
-            sigma = make_pi_system(g, roots, table)
+            sigma = make_pi_system(_gcm(inst.matrix), inst.slice_roots(), _oracle(inst.matrix))
         except KmjmError as err:
             failures.append({**rec, "problem": f"pi-system rejected: {err}"})
             continue
@@ -368,25 +351,23 @@ def run_reg_grade(config: SweepConfig = SweepConfig()) -> SuiteReport:
         span, _ = _span_of([dict(enumerate(row)) for row in sigma.b_matrix])
         if len(span) < len(sigma.b_matrix):
             failures.append({**rec, "problem": "induced matrix is singular"})
-    return SuiteReport("reg-grade", config.seed, len(cases), tuple(failures))
+    return SuiteReport("reg-grade", config.seed, len(insts), tuple(failures))
 
 
 # ---------------------------------------------------------------------------
 # suite: regdomthm — every random slice extends to an sl2-triple
 
 def run_regdomthm(config: SweepConfig = SweepConfig()) -> SuiteReport:
-    # a slice of height <= the cutoff is also realized, which needs a table of
-    # the cutoff height (a matrix with no such slice needs more than twice that)
-    cases = _instance_cases(config, floor=REALIZE_HEIGHT_CUTOFF)
+    insts = criterion_instances(config)
     failures = []
-    for inst, _, roots, table in cases:
+    for inst in insts:
+        roots = inst.slice_roots()
         rng = random.Random(config.seed * 1_000_003 + inst.index)
         coeffs = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in roots)
-        problem = _check_triple(inst.matrix, roots, coeffs, table, REALIZE_HEIGHT_CUTOFF,
-                                config.cap)
+        problem = _check_triple(inst.matrix, roots, coeffs, REALIZE_HEIGHT_CUTOFF, config.cap)
         if problem:
             failures.append({**inst.describe(), "coeffs": list(coeffs), "problem": problem})
-    return SuiteReport("regdomthm", config.seed, len(cases), tuple(failures))
+    return SuiteReport("regdomthm", config.seed, len(insts), tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +414,8 @@ def run_rank2_theorem(config: SweepConfig = SweepConfig()) -> SuiteReport:
                     continue
                 key = (matrix, beta.coeffs)
                 if key not in checked:
-                    table = _oracle(matrix, 2 * SYMBOLIC_HEIGHT_CUTOFF)
-                    checked[key] = _check_triple(matrix, [beta], None, table,
-                                                 MAX_ROOT_HEIGHT, config.cap)
+                    checked[key] = _check_triple(matrix, [beta], None, MAX_ROOT_HEIGHT,
+                                                 config.cap)
             else:
                 key = (matrix, verdict.kind, tuple(bb.coeffs for bb in verdict.roots))
                 if key not in checked:
@@ -478,9 +458,7 @@ def run_affine_heisenberg(config: SweepConfig = SweepConfig()) -> SuiteReport:
     matrix = _rank2_matrix(2, 2)
     g = _gcm(matrix)
     problems = []
-    sigma = make_pi_system(
-        g, [simple_root(2, 1), simple_root(2, 2)], _oracle(matrix, 2)
-    )
+    sigma = make_pi_system(g, [simple_root(2, 1), simple_root(2, 2)], _oracle(matrix))
     try:
         solve_mu(sigma.b_matrix)
         problems.append("solve_mu accepted the singular induced matrix")

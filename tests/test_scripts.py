@@ -27,3 +27,19 @@ def test_instance_count_sets_the_cases(capsys):
     assert run_verification.main(["--suite", "reg-grade", "--instances", "5"]) == 0
     line = json.loads(capsys.readouterr().out)
     assert line["suite"] == "reg-grade" and line["cases"] == 5 and line["failures"] == []
+
+
+def test_negative_failure_count_is_a_usage_error(capsys):
+    # a negative count would slice the failure list from the wrong end
+    with pytest.raises(SystemExit) as info:
+        run_verification.main(["--suite", "affine-heisenberg", "--max-failures", "-1"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-failures must be >= 0, got -1" in captured.err
+
+
+def test_zero_failure_count_is_valid(capsys):
+    assert run_verification.main(["--suite", "affine-heisenberg", "--max-failures", "0"]) == 0
+    line = json.loads(capsys.readouterr().out)
+    assert line["failures"] == [] and "failures_truncated" not in line

@@ -16,7 +16,6 @@ from kmjm.sweeps import (
     _random_reduced_word,
     criterion_instances,
     run_affine_heisenberg,
-    run_regdomthm,
 )
 from kmjm.weyl import apply_word, inversion_set
 
@@ -157,53 +156,46 @@ def test_word_growth_matches_full_inversion_sets():
                 assert inversions == inversion_set(g, WeylWord.of(word))
 
 
-def test_oracle_keeps_one_table_per_matrix(monkeypatch):
-    # the tallest table asked for so far serves every request it covers
-    heights = []
-
-    def counting(g, height):
-        heights.append(height)
-        return peterson_multiplicities(g, height)
-
-    monkeypatch.setattr(sweeps, "_TABLES", {})
-    monkeypatch.setattr(sweeps, "peterson_multiplicities", counting)
+def test_oracle_keeps_one_table_per_matrix():
+    # the fixed height is what keeps make_pi_system's 2*hmax guard: slices
+    # stay within MAX_ROOT_HEIGHT and rank-2 singles within the cutoff
     m = ((2, -3), (-3, 2))
-    t6 = sweeps._oracle(m, 6)
-    assert sweeps._oracle(m, 4) is t6
-    t9 = sweeps._oracle(m, 9)
-    assert t9.height == 9
-    assert sweeps._oracle(m, 6) is t9
-    sweeps._oracle(((2, -1), (-1, 2)), 3)
-    assert heights == [6, 9, 3]
-    assert len(sweeps._TABLES) == 2
+    table = sweeps._oracle(m)
+    assert sweeps._oracle(m) is table
+    assert table.height >= 2 * sweeps.MAX_ROOT_HEIGHT
+    assert table.height >= 2 * sweeps.SYMBOLIC_HEIGHT_CUTOFF
 
 
 def test_regdomthm_builds_one_table_per_matrix(monkeypatch):
-    # each matrix's first oracle request already covers its realize height,
-    # so no table is grown a second time
+    # reg-grade, regdomthm and rank2-theorem share one table per matrix,
+    # made once at one height
     calls = []
 
     def counting(g, height):
-        calls.append(g.entries)
+        calls.append((g.entries, height))
         return peterson_multiplicities(g, height)
 
-    monkeypatch.setattr(sweeps, "_TABLES", {})
+    fresh_oracles = lru_cache(maxsize=None)(sweeps._oracle.__wrapped__)
     fresh_algebras = lru_cache(maxsize=None)(sweeps._algebra.__wrapped__)
+    monkeypatch.setattr(sweeps, "_oracle", fresh_oracles)
     monkeypatch.setattr(sweeps, "_algebra", fresh_algebras)
     monkeypatch.setattr(sweeps, "peterson_multiplicities", counting)
     config = SweepConfig()
-    assert run_regdomthm(config).ok
+    for name in ("reg-grade", "regdomthm", "rank2-theorem"):
+        assert SUITES[name](config).ok
     matrices = {inst.matrix for inst in sweeps.criterion_instances(config)}
-    assert len(calls) == len(matrices) == 25
-    assert set(calls) == matrices
+    assert len(matrices) == 25
+    seen = [entries for entries, _ in calls]
+    assert len(seen) == len(set(seen))
+    assert matrices <= set(seen)
+    assert {height for _, height in calls} == {2 * sweeps.SYMBOLIC_HEIGHT_CUTOFF}
 
 
 def test_triple_check_names_the_failing_step():
     m = ((2, -1), (-1, 2))
-    table = sweeps._oracle(m, 4)
     a1, a2 = simple_root(2, 1), simple_root(2, 2)
-    assert sweeps._check_triple(m, [a1], None, table, 2, None) is None
-    assert sweeps._check_triple(m, [a1, a2], (2, -3), table, 2, None) is None
+    assert sweeps._check_triple(m, [a1], None, 2, None) is None
+    assert sweeps._check_triple(m, [a1, a2], (2, -3), 2, None) is None
     # alpha_1 + alpha_2 minus alpha_1 is a root: no pi-system
-    problem = sweeps._check_triple(m, [a1, a1 + a2], None, table, 2, None)
+    problem = sweeps._check_triple(m, [a1, a1 + a2], None, 2, None)
     assert problem.startswith("triple construction failed: ")
