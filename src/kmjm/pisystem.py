@@ -5,11 +5,13 @@ preserves the invariant forms on the nose."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from ._linalg import _span_of
 from .errors import InternalInconsistency, NotPiSystem, OracleTooShort
-from .gcm import GCM, TypeTag, classify, norm
+from .gcm import GCM, TypeTag, bilinear_form, classify, norm
 from .lattice import RootVec, Value
-from .roots import MultTable, coroot_pairing, is_root, peterson_multiplicities
+from .roots import MultTable, descend
 
 __all__ = ["PiSystem", "make_pi_system", "pi_image", "classify_pi_type"]
 
@@ -31,12 +33,12 @@ class PiSystem(Value):
 
 
 def make_pi_system(g: GCM, roots: list[RootVec], table: MultTable | None = None) -> PiSystem:
-    """Validate the candidate set against the multiplicity oracle and package
-    it with its induced GCM.
+    """Validate the candidate set and package it with its induced GCM.
 
-    The oracle must extend to twice the largest candidate height.  Without a
-    table, one of exactly that height is computed; a given table that is
-    shorter raises OracleTooShort rather than risking a wrong verdict.
+    Members and their differences are decided by reflection descent, so no
+    multiplicity table is needed or built.  A given table is still checked
+    against its promise: it must be for g and reach twice the largest
+    candidate height, or OracleTooShort is raised; it is never read.
     """
     if table is not None and table.gcm is not g and table.gcm != g:
         raise ValueError("oracle table was built for a different GCM")
@@ -46,9 +48,7 @@ def make_pi_system(g: GCM, roots: list[RootVec], table: MultTable | None = None)
         if len(b.coeffs) != g.n:
             raise ValueError(f"member {k + 1} has rank {len(b.coeffs)}, GCM rank is {g.n}")
     hmax = max(b.height for b in roots)
-    if table is None:
-        table = peterson_multiplicities(g, 2 * hmax)
-    elif table.height < 2 * hmax:
+    if table is not None and table.height < 2 * hmax:
         raise OracleTooShort(
             f"oracle reaches height {table.height}, need {2 * hmax} "
             f"(twice the largest member height {hmax})",
@@ -64,19 +64,19 @@ def make_pi_system(g: GCM, roots: list[RootVec], table: MultTable | None = None)
         seen.add(b)
         if not b.is_positive:
             raise NotPiSystem(f"member {k + 1} is not positive", member=list(b.coeffs))
-        if not is_root(table, b):
+        kind = descend(g, b)
+        if kind is None:
             raise NotPiSystem(f"member {k + 1} is not a root", member=list(b.coeffs))
-        if norm(g, b) <= 0:
+        if kind == "imaginary":
             raise NotPiSystem(
                 f"member {k + 1} is imaginary, pi-systems take real roots only",
                 member=list(b.coeffs),
             )
+    # beta - gamma is a root exactly when gamma - beta is, so each unordered
+    # pair is tested once; the first (k, j) found is the first ordered one
     for k in range(len(roots)):
-        for j in range(len(roots)):
-            if k == j:
-                continue
-            diff = roots[k] - roots[j]
-            if is_root(table, diff):
+        for j in range(k + 1, len(roots)):
+            if descend(g, roots[k] - roots[j]) is not None:
                 raise NotPiSystem(
                     f"difference of members {k + 1} and {j + 1} is a root",
                     first=list(roots[k].coeffs),
@@ -86,24 +86,27 @@ def make_pi_system(g: GCM, roots: list[RootVec], table: MultTable | None = None)
     if len(span) != len(roots):
         raise NotPiSystem("members are linearly dependent")
     m = len(roots)
+    norms = [norm(g, b) for b in roots]
     entries = []
     for k in range(m):
         row = []
         for j in range(m):
-            p = coroot_pairing(g, roots[k], roots[j])
-            if p.denominator != 1:
+            # the coroot pairing <beta_j, beta_k^vee> = 2 (beta_j|beta_k) / (beta_k|beta_k)
+            twice = 2 * bilinear_form(g, roots[j], roots[k])
+            p, rem = divmod(twice, norms[k])
+            if rem:
                 raise InternalInconsistency(
-                    f"coroot pairing of real roots came out non-integral: {p}",
+                    "coroot pairing of real roots came out non-integral: "
+                    f"{Fraction(twice, norms[k])}",
                     first=list(roots[k].coeffs),
                     second=list(roots[j].coeffs),
                 )
-            row.append(int(p))
+            row.append(p)
         entries.append(tuple(row))
     # induced symmetrizer: half the norms.  (beta|beta) is always even, and
     # d^B_k B_kj = (beta_k|beta_j) makes form preservation an identity.
     sym = []
-    for b in roots:
-        nb = norm(g, b)
+    for b, nb in zip(roots, norms):
         if nb % 2 != 0:
             raise InternalInconsistency(
                 f"odd norm {nb} for real root {list(b.coeffs)}"

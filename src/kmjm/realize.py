@@ -88,7 +88,7 @@ from .errors import (
 )
 from .gcm import GCM, norm
 from .lattice import RootVec, Value
-from .roots import MultTable, coroot_coords, is_root, peterson_multiplicities
+from .roots import MultTable, _descent_step, coroot_coords, is_root, peterson_multiplicities
 
 __all__ = [
     "AlgElement",
@@ -969,21 +969,14 @@ def real_root_vector(alg: TruncatedAlgebra, beta: RootVec):
     cur = beta.coeffs
     chain = []  # (letter, root before the reflection down)
     while cur not in memo and sum(cur) > 1:
-        pick = 0
-        for i in range(1, g.n + 1):
-            pairing = sum(g.entries[i - 1][j] * cur[j] for j in range(g.n))
-            if pairing > 0:
-                pick = i
-                break
-        if pick == 0:
+        step = _descent_step(g, cur)  # the step of roots.descend
+        if step is None:
             raise InternalInconsistency(
                 "height descent stalled on a positive real root",
                 beta=list(cur),
             )
-        chain.append((pick, cur))
-        new = list(cur)
-        new[pick - 1] -= sum(g.entries[pick - 1][j] * cur[j] for j in range(g.n))
-        cur = tuple(new)
+        chain.append((step[0], cur))
+        cur = step[1]
     if cur in memo:
         vec = AlgElement(alg, memo[cur][0])
     else:

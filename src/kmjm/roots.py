@@ -1,9 +1,13 @@
 """Root enumeration and multiplicities.
 
-Two independent routes into the root system:
+Three independent routes into the root system:
 
 * real_roots_up_to_height — breadth-first closure of the simple roots under
   the simple reflections (real roots only, multiplicity 1);
+* descend — membership of one vector by reflection descent, no table: each
+  s_i permutes the positive roots other than alpha_i (Kac, Lemma 3.7), and
+  the positive imaginary roots are the W-orbit of the chamber vectors with
+  connected support (Kac, Thm 5.4);
 * peterson_multiplicities — the full multiplicity table from the recurrence
       (beta | beta - 2 rho) c_beta = sum_{b'+b''=beta} (b'|b'') c_b' c_b''
   with c_beta = sum_{k | beta} mult(beta/k)/k, processed by increasing height
@@ -27,8 +31,9 @@ Two independent routes into the root system:
   iteration, len, ==, repr, pickle or copy); a check that fails raises at
   that read and again at every later read of the table.
 
-The resulting MultTable is the membership oracle the other modules consume:
+The resulting MultTable is the multiplicity oracle the other modules consume:
 mult(beta) = 0 exactly for non-roots, real roots have mult 1 and positive norm.
+A question of membership alone (pi-systems) goes to descend instead.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ __all__ = [
     "RootVec",
     "Coweight",
     "real_roots_up_to_height",
+    "descend",
     "peterson_multiplicities",
     "is_root",
     "coroot_pairing",
@@ -85,6 +91,60 @@ def real_roots_up_to_height(g: GCM, height: int) -> list[RootVec]:
                 found.add(cand)
                 queue.append(cand)
     return sorted(found)
+
+
+def _descent_step(g: GCM, v: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """The first i (1-based) with <v, alpha_i^vee> > 0 and s_i(v), or None
+    when v pairs to <= 0 with every simple coroot."""
+    for i, row in enumerate(g.entries):
+        pairing = sum(map(mul, row, v))
+        if pairing > 0:
+            new = list(v)
+            new[i] -= pairing
+            return i + 1, tuple(new)
+    return None
+
+
+def _connected_support(g: GCM, v: tuple[int, ...]) -> bool:
+    support = [i for i, c in enumerate(v) if c]
+    reached = {support[0]}
+    stack = [support[0]]
+    while stack:
+        i = stack.pop()
+        for j in support:
+            if j not in reached and g.entries[i][j]:
+                reached.add(j)
+                stack.append(j)
+    return len(reached) == len(support)
+
+
+def descend(g: GCM, v: RootVec) -> str | None:
+    """Whether v is a root, decided without a table: "real", "imaginary" or
+    None for a non-root.
+
+    A negative vector is negated first; zero and mixed-sign vectors are not
+    roots.  A positive v other than alpha_i is a root exactly when s_i(v) is,
+    and s_i(v) is then positive (Kac, Lemma 3.7), so each step reflects by the
+    first i with <v, alpha_i^vee> > 0, which lowers the height, and a
+    negative coordinate ends the descent at a non-root.  A simple root is
+    real.  A vector pairing to <= 0 with every coroot is a root, imaginary,
+    exactly when its support is connected (Kac, Thm 5.4).  The cost is
+    O(height * n^2).
+    """
+    if len(v.coeffs) != g.n:
+        raise ValueError(f"vector has rank {len(v.coeffs)}, GCM rank is {g.n}")
+    sign = v.sign
+    if sign in ("mixed", "zero"):
+        return None
+    cur = v.coeffs if sign == "positive" else (-v).coeffs
+    while sum(cur) > 1:
+        step = _descent_step(g, cur)
+        if step is None:
+            return "imaginary" if _connected_support(g, cur) else None
+        cur = step[1]
+        if min(cur) < 0:
+            return None
+    return "real"
 
 
 class MultTable(Value):

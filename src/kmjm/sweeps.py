@@ -21,7 +21,6 @@ from .gcm import FINITE, GCM, validate_gcm
 from .grading import check_finite_grading, grade_of, phi_w_d
 from .lattice import Coweight, RootVec, Value, WeylWord, simple_root
 from .pisystem import classify_pi_type, make_pi_system
-from .roots import MultTable, peterson_multiplicities
 from .weyl import _times_simple, _unit_images, inversion_set
 
 __all__ = [
@@ -88,21 +87,14 @@ def _gcm(matrix) -> GCM:
     return validate_gcm([list(row) for row in matrix])
 
 
-@lru_cache(maxsize=None)
-def _oracle(matrix) -> MultTable:
-    # one table per matrix, twice the tallest root any suite checks, so the
-    # 2*hmax guard of make_pi_system always holds; a table fills only the
-    # heights its readers reach, and truncated_on_demand trims it.  The keys
-    # are the suites' fixed matrices, so the cache stays bounded
-    return peterson_multiplicities(_gcm(matrix), 2 * SYMBOLIC_HEIGHT_CUTOFF)
-
-
 @lru_cache(maxsize=64)
 def _algebra(matrix, height: int, cap=None):
-    # a suite touches few degrees of each algebra; those are built on first use
+    # a suite touches few degrees of each algebra; those are built on first
+    # use, over the algebra's own Peterson table.  Pi-systems need no table:
+    # make_pi_system decides membership by descent
     from .realize import truncated_on_demand
 
-    return truncated_on_demand(_gcm(matrix), height, cap=cap, table=_oracle(matrix))
+    return truncated_on_demand(_gcm(matrix), height, cap=cap)
 
 
 def _rank2_matrix(a: int, b: int):
@@ -316,7 +308,7 @@ def _check_triple(matrix, roots, coeffs, height: int, cap) -> str | None:
     from .sl2 import build_triple, verify_realized, verify_symbolic
 
     try:
-        triple = build_triple(make_pi_system(_gcm(matrix), roots, _oracle(matrix)), coeffs)
+        triple = build_triple(make_pi_system(_gcm(matrix), roots), coeffs)
     except KmjmError as err:
         return f"triple construction failed: {err}"
     if not verify_symbolic(triple):
@@ -340,7 +332,7 @@ def run_reg_grade(config: SweepConfig = SweepConfig()) -> SuiteReport:
     for inst in insts:
         rec = inst.describe()
         try:
-            sigma = make_pi_system(_gcm(inst.matrix), inst.slice_roots(), _oracle(inst.matrix))
+            sigma = make_pi_system(_gcm(inst.matrix), inst.slice_roots())
         except KmjmError as err:
             failures.append({**rec, "problem": f"pi-system rejected: {err}"})
             continue
@@ -458,7 +450,7 @@ def run_affine_heisenberg(config: SweepConfig = SweepConfig()) -> SuiteReport:
     matrix = _rank2_matrix(2, 2)
     g = _gcm(matrix)
     problems = []
-    sigma = make_pi_system(g, [simple_root(2, 1), simple_root(2, 2)], _oracle(matrix))
+    sigma = make_pi_system(g, [simple_root(2, 1), simple_root(2, 2)])
     try:
         solve_mu(sigma.b_matrix)
         problems.append("solve_mu accepted the singular induced matrix")

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -55,3 +57,22 @@ def algebra():
         return cache[key]
 
     return get
+
+
+@pytest.fixture
+def peterson_calls(monkeypatch):
+    """(matrix entries, height) of every peterson_multiplicities call made
+    through a kmjm module while the test runs."""
+    import kmjm.realize  # noqa: F401  (loaded lazily; it binds the name too)
+
+    calls = []
+
+    def spy(g, height):
+        calls.append((g.entries, height))
+        return peterson_multiplicities(g, height)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kmjm") and getattr(module, "peterson_multiplicities", None) \
+                is peterson_multiplicities:
+            monkeypatch.setattr(module, "peterson_multiplicities", spy)
+    return calls

@@ -9,7 +9,6 @@ from kmjm import (
     rootvec,
     validate_gcm,
 )
-from kmjm import pisystem
 from kmjm.pisystem import classify_pi_type, pi_image
 
 
@@ -50,42 +49,39 @@ def test_oracle_must_cover_twice_the_height():
         make_pi_system(g, [rootvec((1, 1))], short)
 
 
-def test_default_oracle_is_twice_the_height(monkeypatch):
-    for matrix, coeffs in ((A2, [(1, 0), (0, 1)]), (H51, [(1, 4)])):
-        g = validate_gcm(matrix)
-        roots = [rootvec(c) for c in coeffs]
-        hmax = max(b.height for b in roots)
-        table = peterson_multiplicities(g, 2 * hmax)
-        assert make_pi_system(g, roots) == make_pi_system(g, roots, table)
-    with pytest.raises(NotPiSystem):
-        make_pi_system(validate_gcm(A2), [rootvec((1, 0)), rootvec((1, 1))])
-    # the member checks never look above hmax, so only a spy sees the height
-    heights = []
-    monkeypatch.setattr(
-        pisystem, "peterson_multiplicities",
-        lambda g, h: heights.append(h) or peterson_multiplicities(g, h),
-    )
-    make_pi_system(validate_gcm(H51), [rootvec((1, 4))])
-    assert heights == [10]
+_CANDIDATES = (
+    (A2, [(1, 0), (0, 1)]),
+    (H51, [(1, 4)]),
+    (H51, [(1, 1), (1, 5)]),
+    (A2, [(1, 0), (1, 1)]),  # a difference is a root
+    (A1_AFFINE, [(1, 1)]),  # imaginary
+    (H51, [(2, 2)]),  # not a root
+)
 
 
-def test_member_checks_fill_no_height_above_hmax(monkeypatch):
-    # the guard still asks for a 2*hmax oracle, but the member and difference
-    # checks read it only up to hmax, so no height above that is computed
-    made = []
-    monkeypatch.setattr(
-        pisystem, "peterson_multiplicities",
-        lambda g, h: made.append(peterson_multiplicities(g, h)) or made[-1],
-    )
-    for matrix, coeffs in ((A2, [(1, 0), (0, 1)]), (H51, [(1, 4)]), (H51, [(1, 1), (1, 5)])):
+def _outcome(g, roots, table=None):
+    try:
+        return make_pi_system(g, roots, table)
+    except NotPiSystem as err:
+        return str(err)
+
+
+def test_no_table_means_no_peterson_call(peterson_calls):
+    # membership is decided by descent, so no table is made for the checks
+    for matrix, coeffs in _CANDIDATES:
+        _outcome(validate_gcm(matrix), [rootvec(c) for c in coeffs])
+    assert peterson_calls == []
+
+
+def test_given_table_is_checked_not_read():
+    # a given table of twice the height passes the guard, is never filled,
+    # and the verdict is the one without a table
+    for matrix, coeffs in _CANDIDATES:
         g = validate_gcm(matrix)
         roots = [rootvec(c) for c in coeffs]
-        hmax = max(b.height for b in roots)
-        given = peterson_multiplicities(g, 2 * hmax)
-        assert make_pi_system(g, roots) == make_pi_system(g, roots, given)
-        for table in (made[-1], given):
-            assert table.height == 2 * hmax and table.mult._filled == hmax
-        assert given == peterson_multiplicities(g, 2 * hmax)
+        given = peterson_multiplicities(g, 2 * max(b.height for b in roots))
+        assert _outcome(g, roots, given) == _outcome(g, roots)
+        assert given.mult._filled == 0
 
 
 def test_singleton_system(oracle):

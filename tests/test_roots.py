@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import A2, A2_AFFINE, A1_AFFINE, H3
@@ -15,6 +15,7 @@ from kmjm import (
     HeightOutOfRange,
     InternalInconsistency,
     MultTable,
+    RootVec,
     coroot_pairing,
     is_root,
     norm,
@@ -24,7 +25,7 @@ from kmjm import (
     validate_gcm,
 )
 from kmjm import roots
-from kmjm.roots import real_roots_up_to_height
+from kmjm.roots import descend, real_roots_up_to_height
 from kmjm.sweeps import _POOL
 
 
@@ -275,3 +276,82 @@ def test_recurrence_matches_naive_reference_on_symmetric_gcms(matrix, height):
     height = min(height, 7 if g.n == 2 else 5)
     tab = peterson_multiplicities(g, height)
     assert _table_as_dict(tab) == _naive_multiplicities(g, height)
+
+
+# descent against the table: A3 is finite A3; affine A3 and the sum of two
+# affine A1 reach rank 4, the latter with chamber vectors of disconnected
+# support
+A3 = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+A3_AFFINE = ((2, -1, 0, -1), (-1, 2, -1, 0), (0, -1, 2, -1), (-1, 0, -1, 2))
+A1_AFFINE_TWICE = ((2, -2, 0, 0), (-2, 2, 0, 0), (0, 0, 2, -2), (0, 0, -2, 2))
+_DESCENT_HEIGHTS = {1: 30, 2: 24, 3: 14, 4: 8}
+
+
+def _table_verdict(g, tab, v):
+    if not tab.multiplicity(v):
+        return None
+    return "real" if norm(g, v) > 0 else "imaginary"
+
+
+def _assert_descent_matches_table(matrix, height):
+    g = validate_gcm(matrix)
+    tab = peterson_multiplicities(g, height)
+    for h in range(1, height + 1):
+        for v in product(range(h + 1), repeat=g.n):
+            if sum(v) != h:
+                continue
+            beta = RootVec(v)
+            want = _table_verdict(g, tab, beta)
+            assert descend(g, beta) == want, (matrix, v)
+            assert descend(g, -beta) == want, (matrix, v)
+
+
+def test_descent_matches_peterson_on_every_pool_matrix():
+    # the whole height window of each sweep matrix and of the named extras
+    matrices = dict.fromkeys(
+        [*_POOL, *(tuple(map(tuple, m)) for m in (A1_AFFINE, H3)), A3, A3_AFFINE,
+         A1_AFFINE_TWICE]
+    )
+    for matrix in matrices:
+        _assert_descent_matches_table(matrix, _DESCENT_HEIGHTS[len(matrix)])
+
+
+def test_descent_edge_vectors():
+    g = validate_gcm(H3)
+    assert descend(g, rootvec((0, 0))) is None
+    assert descend(g, rootvec((1, -1))) is None
+    assert descend(g, rootvec((-1, -3))) == "real"
+    assert descend(g, rootvec((-2, -2))) == "imaginary"
+    for k in (2, 3, 5):
+        for i in (1, 2):
+            assert descend(g, k * simple_root(2, i)) is None
+    # imaginary roots of affine A1 are the multiples of delta
+    aff = validate_gcm(A1_AFFINE)
+    assert [descend(aff, rootvec((k, k))) for k in (1, 2, 7)] == ["imaginary"] * 3
+    # a chamber vector is a root only when its support is connected
+    twice = validate_gcm(A1_AFFINE_TWICE)
+    assert descend(twice, rootvec((1, 1, 0, 0))) == "imaginary"
+    assert descend(twice, rootvec((1, 1, 1, 1))) is None
+    with pytest.raises(ValueError):
+        descend(g, rootvec((1, 0, 0)))
+
+
+@st.composite
+def _symmetrizable_gcms(draw):
+    # zero-symmetric off-diagonal pairs in -4..0; rank 3 also needs the cycle
+    # condition a12 a23 a31 = a21 a32 a13
+    pair = st.one_of(st.just((0, 0)), st.tuples(st.integers(-4, -1), st.integers(-4, -1)))
+    n = draw(st.integers(2, 3))
+    rows = [[2] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j], rows[j][i] = draw(pair)
+    if n == 3:
+        assume(rows[0][1] * rows[1][2] * rows[2][0] == rows[1][0] * rows[2][1] * rows[0][2])
+    return rows
+
+
+@settings(max_examples=25, derandomize=True)
+@given(_symmetrizable_gcms(), st.integers(1, 10))
+def test_descent_matches_peterson_on_random_gcms(matrix, height):
+    _assert_descent_matches_table(matrix, min(height, 10 if len(matrix) == 2 else 8))

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from kmjm import NotReduced, WeylWord, peterson_multiplicities, simple_root
+from kmjm import NotReduced, WeylWord, simple_root
 from kmjm import sweeps
 from kmjm.sweeps import (
     _POOL,
@@ -156,39 +156,33 @@ def test_word_growth_matches_full_inversion_sets():
                 assert inversions == inversion_set(g, WeylWord.of(word))
 
 
-def test_oracle_keeps_one_table_per_matrix():
-    # the fixed height is what keeps make_pi_system's 2*hmax guard: slices
-    # stay within MAX_ROOT_HEIGHT and rank-2 singles within the cutoff
+def test_algebra_keeps_one_table_per_matrix_and_height():
+    # each algebra carries its own Peterson table, cut at its own height
     m = ((2, -3), (-3, 2))
-    table = sweeps._oracle(m)
-    assert sweeps._oracle(m) is table
-    assert table.height >= 2 * sweeps.MAX_ROOT_HEIGHT
-    assert table.height >= 2 * sweeps.SYMBOLIC_HEIGHT_CUTOFF
+    alg = sweeps._algebra(m, 6)
+    assert sweeps._algebra(m, 6) is alg
+    assert alg.table.gcm == sweeps._gcm(m) and alg.table.height == 6
+    assert not hasattr(sweeps, "_oracle")
 
 
-def test_regdomthm_builds_one_table_per_matrix(monkeypatch):
-    # reg-grade, regdomthm and rank2-theorem share one table per matrix,
-    # made once at one height
-    calls = []
+def test_reg_grade_makes_no_table(peterson_calls):
+    assert SUITES["reg-grade"](SweepConfig()).ok
+    assert peterson_calls == []
 
-    def counting(g, height):
-        calls.append((g.entries, height))
-        return peterson_multiplicities(g, height)
 
-    fresh_oracles = lru_cache(maxsize=None)(sweeps._oracle.__wrapped__)
-    fresh_algebras = lru_cache(maxsize=None)(sweeps._algebra.__wrapped__)
-    monkeypatch.setattr(sweeps, "_oracle", fresh_oracles)
-    monkeypatch.setattr(sweeps, "_algebra", fresh_algebras)
-    monkeypatch.setattr(sweeps, "peterson_multiplicities", counting)
+def test_regdomthm_builds_one_table_per_matrix(monkeypatch, peterson_calls):
+    # the pi-systems need no table; each algebra makes one, for its matrix
+    # at the realization height, once
+    monkeypatch.setattr(sweeps, "_algebra", lru_cache(maxsize=None)(sweeps._algebra.__wrapped__))
     config = SweepConfig()
-    for name in ("reg-grade", "regdomthm", "rank2-theorem"):
-        assert SUITES[name](config).ok
-    matrices = {inst.matrix for inst in sweeps.criterion_instances(config)}
-    assert len(matrices) == 25
-    seen = [entries for entries, _ in calls]
-    assert len(seen) == len(set(seen))
-    assert matrices <= set(seen)
-    assert {height for _, height in calls} == {2 * sweeps.SYMBOLIC_HEIGHT_CUTOFF}
+    assert SUITES["regdomthm"](config).ok
+    realized = {
+        inst.matrix for inst in criterion_instances(config)
+        if max(b.height for b in inst.slice_roots()) <= sweeps.REALIZE_HEIGHT_CUTOFF
+    }
+    assert len(peterson_calls) == len(set(peterson_calls)) == len(realized)
+    assert {entries for entries, _ in peterson_calls} == realized
+    assert {height for _, height in peterson_calls} == {sweeps.REALIZE_HEIGHT_CUTOFF}
 
 
 def test_triple_check_names_the_failing_step():
