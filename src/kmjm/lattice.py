@@ -93,10 +93,6 @@ class RootVec(Value):
     def is_positive(self) -> bool:
         return self.sign == "positive"
 
-    def support(self) -> tuple[int, ...]:
-        """1-based indices of nonzero coordinates."""
-        return tuple(i + 1 for i, c in enumerate(self.coeffs) if c != 0)
-
     def __add__(self, other: "RootVec") -> "RootVec":
         return RootVec(tuple(a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
 

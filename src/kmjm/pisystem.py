@@ -1,6 +1,6 @@
 """Pi-systems: finite sets of positive real roots whose pairwise differences
 are not roots.  Such a set carries an induced GCM (the matrix of coroot
-pairings) and the linear map sending its simple roots onto the chosen roots
+pairings) and the linear map sending its simple roots onto the given roots
 preserves the invariant forms on the nose."""
 
 from __future__ import annotations

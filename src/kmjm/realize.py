@@ -7,22 +7,26 @@ element of the root space at a positive degree beta is recorded by its
 T-images, which lie in the degrees beta - alpha_j below it.  No free Lie
 algebra is built: every degree costs what its quotient costs.
 
-Per degree, in height order: the candidates [e_i, b], b over the basis at
+Per degree, in height order: the candidates [b, e_i], b over the basis at
 beta - alpha_i, span the root space, and their T-images follow from the
 degrees below, T_j([e_i, b]) = [e_i, T_j b] + delta_ij <beta - alpha_i,
-alpha_i^v> b.  Their rank is the graded dimension, found without the root
-multiplicity table and cross-checked against it at every degree: a mismatch
-means a bug in one of the two independent computations and is reported as
-InternalInconsistency rather than papered over.  The basis of the degree is
-the images of its first independent Lyndon words, in lyndon_words order; the
-image of a word is the T-image of its standard bracketing [std(u), std(v)],
-from T_j[x, y] = [T_j x, y] + [x, T_j y], memoized per word.  Writing every
-candidate over that basis gives the raising matrices of ad e_i, and writing
-the basis over the candidates gives p = sum_i [e_i, y_i]; the bracket of two
-positive basis vectors is its T-image, from the same identity, solved in
-its degree.  All of it runs through the package's one exact elimination,
-_Span in _linalg, fraction-free on integers, so a Fraction appears only in
-the coordinates it returns.
+alpha_i^v> b.  One pass of the elimination over the candidates, i descending
+and b in basis order, keeps the first independent ones as the basis of the
+degree and writes every other over the basis vectors before it.  That pass
+gives the raising matrices of ad e_i, and since each basis vector is one
+candidate, [b, e_i] = [e_i, -b], it gives the decomposition
+p = sum_i [e_i, y_i] too.  The rank is the graded dimension, found without
+the root multiplicity table and cross-checked against it at every degree: a
+mismatch means a bug in one of the two independent computations and is
+reported as InternalInconsistency rather than papered over.  The elimination
+is the package's one exact elimination, _Span in _linalg, fraction-free on
+integers, so a Fraction appears only in the coordinates it returns.
+
+The bracket of two positive basis vectors x and p = sum_i [e_i, y_i] needs
+no elimination: [x, [e_i, y]] = -[[e_i, x], y] + [e_i, [x, y]], where
+[e_i, x] and [e_i, .] are raising matrices and both brackets with y have a
+second argument one height lower.  Every degree this passes lies below the
+degree of [x, p], so the recursion stays inside the window.
 
 Degrees are built on first use: a bracket that needs one builds it after
 every degree below it, so an algebra from truncated_on_demand costs only the
@@ -104,54 +108,6 @@ __all__ = [
     "companion_vector",
     "DEFAULT_CAP",
 ]
-
-# ---------------------------------------------------------------------------
-# Lyndon words
-
-def lyndon_words(content):
-    """Lyndon words with the given letter content, in lex order."""
-    return list(_lyndon_iter(content))
-
-
-def _lyndon_iter(content):
-    # Every prefix of a Lyndon word is a prenecklace, so the words come from
-    # the Fredricksen-Kessler-Maiorana recursion restricted to the content:
-    # the letter at position t is at least the one at t - p, p being the
-    # period of the prefix, and a complete word is Lyndon exactly when its
-    # period is its length.  A Lyndon word starts with its least letter.
-    n = len(content)
-    total = sum(content)
-    if total == 0:
-        return
-    counts = list(content)
-    first = next(i for i in range(n) if counts[i])
-    counts[first] -= 1
-    word = [first + 1] * total
-
-    def rec(t, p):
-        if t == total:
-            if p == total:
-                yield tuple(word)
-            return
-        low = word[t - p]
-        for x in range(low, n + 1):
-            if counts[x - 1]:
-                counts[x - 1] -= 1
-                word[t] = x
-                yield from rec(t + 1, p if x == low else t + 1)
-                counts[x - 1] += 1
-
-    yield from rec(1, 1)
-
-
-def _std_factorization(w):
-    # w = uv with v the lex-least proper suffix; u and v are again Lyndon
-    best = 1
-    for k in range(2, len(w)):
-        if w[k:] < w[best:]:
-            best = k
-    return w[:best], w[best:]
-
 
 # ---------------------------------------------------------------------------
 # elements
@@ -263,31 +219,21 @@ class AlgElement:
 
 
 class _DegreeData:
-    # mult is the candidate rank, equal to the table's multiplicity; chosen
-    # holds the Lyndon words whose images are the basis.  lower[k][j] is
-    # T_j of the k-th basis vector as coordinates at deg - alpha_j (at height
-    # one, T_i(e_i) = h_i, as coordinates {i: 1} over the simple coroots,
-    # 0-based).  basis spans the basis T-images and solves for coordinates.
-    # candidates lists (i, l, T-images of [e_i, b_l], word) with b_l the
-    # l-th basis vector at deg - alpha_i and word = (w, sign) when [e_i, b_l]
-    # is sign times the image of the Lyndon word w, else None; spanning is
-    # the span of the candidates' T-images with the candidate index of each
-    # of its inputs, kept until decomp is filled.  up[i][l] is [e_i, b_l]
-    # over the basis, decomp writes each basis vector as sum_i [e_i, y_i],
-    # and gram is the scaled invariant form with the span of its rows; all
-    # three are filled on first use (None until then).
-    __slots__ = ("mult", "chosen", "lower", "up", "basis", "candidates", "spanning",
-                 "decomp", "gram")
+    # mult is the candidate rank, equal to the table's multiplicity.
+    # lower[k][j] is T_j of the k-th basis vector as coordinates at
+    # deg - alpha_j (at height one, T_i(e_i) = h_i, as coordinates {i: 1}
+    # over the simple coroots, 0-based).  up[i][l] is [e_i, b_l] over the
+    # basis, b_l the l-th basis vector at deg - alpha_i, and decomp writes
+    # each basis vector as sum_i [e_i, y_i]; both come with the basis.  gram
+    # is the scaled invariant form with the span of its rows, filled on first
+    # use (None until then).
+    __slots__ = ("mult", "lower", "up", "decomp", "gram")
 
     def __init__(self):
         self.mult = 0
-        self.chosen = []
         self.lower = []
-        self.up = None
-        self.basis = _Span()
-        self.candidates = []
-        self.spanning = None
-        self.decomp = None
+        self.up = {}
+        self.decomp = []
         self.gram = None
 
 
@@ -295,8 +241,8 @@ def _minus(deg, i):
     return deg[:i] + (deg[i] - 1,) + deg[i + 1:]
 
 
-def _content(w, n):
-    return tuple(w.count(i + 1) for i in range(n))
+def _plus(deg, i):
+    return deg[:i] + (deg[i] + 1,) + deg[i + 1:]
 
 
 def _flat(lower, n):
@@ -323,15 +269,13 @@ def _add_scaled(acc, scale, terms):
 # the algebra
 
 class TruncatedAlgebra:
-    def __init__(self, g: GCM, height: int, cap: int, table: MultTable):
+    def __init__(self, g: GCM, height: int, table: MultTable):
         self.gcm = g
         self.height = height
-        self.cap = cap
         self.table = table
         self.degrees: dict[tuple, _DegreeData] = {}
         self._pp_cache: dict = {}
         self._pn_cache: dict = {}
-        self._words: dict = {}
         # positive real root -> [vector terms, companion terms or None]; plain
         # dicts, so that the memo holds no element referring back to self
         self._root_vectors: dict = {}
@@ -369,31 +313,24 @@ class TruncatedAlgebra:
                 )
             i = deg.index(1)
             data.mult = 1
-            data.chosen = [(i + 1,)]
             data.lower = [{i: {i: 1}}]
             return data
-        cands = data.candidates
-        by_word = {}  # Lyndon word -> (c, sign): its image is sign * candidate c
-        for i in range(n):
+        # [b_l, e_i] = [e_i, -b_l]: a basis vector when it is independent of
+        # the candidates before it, else written over the basis so far
+        span = _Span()
+        for i in reversed(range(n)):
             if deg[i]:
                 below = _minus(deg, i)
-                for l, v in enumerate(self._degree(below).chosen):
-                    # [e_i, b(v)] is b(iv) when i < v (iv is then Lyndon with
-                    # standard factorization (i, v)), and -b(vi) when v < i
-                    # and (v, i) is the standard factorization of vi
-                    a = (i + 1,)
-                    if a < v:
-                        word = (a + v, 1)
-                    elif v < a and _std_factorization(v + a) == (v, a):
-                        word = (v + a, -1)
-                    else:
-                        word = None
-                    if word:
-                        by_word[word[0]] = (len(cands), word[1])
-                    cands.append((i, l, self._raise_tvec(i, 1, below, {l: 1}), word))
-        flat = [_flat(t, n) for _, _, t, _ in cands]
-        data.spanning = _span_of(flat)
-        rank = len(data.spanning[0])
+                up = data.up[i] = []
+                for l in range(self._degree(below).mult):
+                    t = self._raise_tvec(i, -1, below, {l: 1})
+                    got = span.add(_flat(t, n))
+                    if got is None:
+                        got = {len(data.lower): 1}
+                        data.lower.append(t)
+                        data.decomp.append([(i, {l: -1})])
+                    up.append({k: -v for k, v in got.items()})
+        rank = len(data.lower)
         if rank != expected:
             raise InternalInconsistency(
                 "candidate rank disagrees with the multiplicity table "
@@ -404,96 +341,12 @@ class TruncatedAlgebra:
                 expected=expected,
             )
         data.mult = rank
-        for scanned, w in enumerate(_lyndon_iter(deg) if rank else (), 1):
-            if scanned > self.cap:
-                raise ResourceCap(
-                    f"degree {list(deg)} scanned more than {self.cap} Lyndon "
-                    "words for its basis",
-                    degree=list(deg),
-                    scanned=scanned,
-                    cap=self.cap,
-                )
-            c, sign = by_word.get(w, (None, 1))
-            if c is None:
-                t = self._word_tvec(w)
-                got = data.basis.add(_flat(t, n))
-            elif sign == 1:
-                t = cands[c][2]
-                got = data.basis.add(flat[c])
-            else:
-                t = {j: {k: -v for k, v in tj.items()} for j, tj in cands[c][2].items()}
-                got = data.basis.add({k: -v for k, v in flat[c].items()})
-            if got is None:
-                got = {len(data.chosen): 1}
-                data.chosen.append(w)
-                data.lower.append(t)
-            self._words[w] = got
-            if len(data.chosen) == rank:
-                break
-        if len(data.chosen) != rank:
-            raise InternalInconsistency(
-                f"could only find {len(data.chosen)} independent vectors at "
-                f"degree {list(deg)}, the candidates span {rank}",
-                degree=list(deg),
-            )
         return data
 
     def _raising(self, deg):
         """up[i][l] = [e_i, b_l] over the basis at deg, b_l the l-th basis
-        vector at deg - alpha_i: the candidates written over the basis."""
-        data = self._degree(deg)
-        if data.up is None:
-            up = {}
-            for i, _, t, word in data.candidates:
-                got = self._words.get(word[0]) if word else None
-                if got is None:
-                    got = self._solve(deg, t, data)
-                elif word[1] == -1:
-                    got = {k: -v for k, v in got.items()}
-                up.setdefault(i, []).append(got)
-            data.up = up
-        return data.up
-
-    def _word_tvec(self, w):
-        # T-images of the standard bracketing [std(u), std(v)] of a Lyndon word
-        n = self.gcm.n
-        u, v = _std_factorization(w)
-        return self._tvec(_content(u, n), self._word(u), _content(v, n), self._word(v))
-
-    def _word(self, w):
-        # coordinates of the image of a Lyndon word at its content
-        got = self._words.get(w)
-        if got is None:
-            if len(w) == 1:
-                got = {0: 1}
-            else:
-                deg = _content(w, self.gcm.n)
-                data = self._degree(deg)  # may record the word itself
-                got = self._words.get(w)
-                if got is None:
-                    got = self._solve(deg, self._word_tvec(w), data) if data.mult else {}
-            self._words[w] = got
-        return got
-
-    def _tvec(self, da, x, db, y):
-        # T-images of [x, y], x and y coordinates at positive degrees da and
-        # db, from T_j [x, y] = [T_j x, y] + [x, T_j y], as {j: coordinates}
-        if sum(da) == 1:
-            return self._raise_tvec(da.index(1), x[0], db, y)
-        out = {}
-        for j in range(self.gcm.n):
-            acc = {}
-            if da[j]:
-                tx = self._lower(da, x, j)
-                if tx:
-                    _add_scaled(acc, 1, self._pbr(_minus(da, j), tx, db, y))
-            if db[j]:
-                ty = self._lower(db, y, j)
-                if ty:
-                    _add_scaled(acc, 1, self._pbr(da, x, _minus(db, j), ty))
-            if acc:
-                out[j] = acc
-        return out
+        vector at deg - alpha_i."""
+        return self._degree(deg).up
 
     def _raise_tvec(self, i, c, deg, y):
         # T-images of [c e_i, y], y coordinates at deg:
@@ -508,8 +361,7 @@ class TruncatedAlgebra:
                     # T_j e_j = h_j and [e_i, h_j] = -a_ji e_i
                     _add_scaled(acc, -c * b * self.gcm.entries[j][i], {0: 1})
                     continue
-                low = _minus(deg, j)
-                up = self._raising(low[:i] + (low[i] + 1,) + low[i + 1:]).get(i)
+                up = self._raising(_plus(_minus(deg, j), i)).get(i)
                 if up:
                     for m, v in t.items():
                         _add_scaled(acc, c * b * v, up[m])
@@ -518,45 +370,10 @@ class TruncatedAlgebra:
             _add_scaled(out.setdefault(i, {}), c * w, y)
         return {j: t for j, t in out.items() if t}
 
-    def _lower(self, deg, x, j):
-        # T_j x, x given by coordinates at a built degree
-        lower = self.degrees[deg].lower
-        out = {}
-        for k, c in x.items():
-            t = lower[k].get(j)
-            if t:
-                _add_scaled(out, c, t)
-        return out
-
-    def _pbr(self, da, x, db, y):
-        # [x, y] as coordinates at da + db, inside the window; a zero degree
-        # means coordinates over the simple coroots
-        if not any(da):
-            s = sum(c * self._pairing(m, db) for m, c in x.items())
-            return {k: s * v for k, v in y.items()} if s else {}
-        if not any(db):
-            s = sum(c * self._pairing(m, da) for m, c in y.items())
-            return {k: -s * v for k, v in x.items()} if s else {}
-        out = {}
-        for k, a in x.items():
-            for l, b in y.items():
-                _add_scaled(out, a * b, self._pp(da, k, db, l)[0])
-        return out
-
     def _pairing(self, m, deg):
         # <deg, alpha_m^v>, m 0-based
         row = self.gcm.entries[m]
         return sum(row[t] * deg[t] for t in range(len(deg)))
-
-    def _solve(self, deg, lower, data):
-        # coordinates over the basis of the element with these T-images
-        got = data.basis.solve(_flat(lower, self.gcm.n))
-        if got is None:
-            raise InternalInconsistency(
-                f"T-image escaped the quotient basis at degree {list(deg)}",
-                degree=list(deg),
-            )
-        return got
 
     # -- basic elements ----------------------------------------------------
 
@@ -685,8 +502,20 @@ class TruncatedAlgebra:
         elif sum(db) == 1:
             res = ({c: -v for c, v in self._raising(deg)[db.index(1)][k].items()}, False)
         else:
-            data = self._degree(deg)
-            res = (self._solve(deg, self._tvec(da, {k: 1}, db, {l: 1}), data), False)
+            # p_l = sum_i [e_i, y] and [x, [e_i, y]] = -[[e_i, x], y] + [e_i, [x, y]],
+            # reading ad e_i from the raising matrices at da + alpha_i and at
+            # deg: every degree in between lies below deg, so nothing is cut
+            top = self._raising(deg)
+            acc = {}
+            for i, y in self._decomposition(db)[l]:
+                dx, dy = _plus(da, i), _minus(db, i)
+                ex = self._raising(dx)[i][k] if self._mult(dx) else {}
+                for m, c in y.items():
+                    for s, v in ex.items():
+                        _add_scaled(acc, -c * v, self._pp(dx, s, dy, m)[0])
+                    for t, v in self._pp(da, k, dy, m)[0].items():
+                        _add_scaled(acc, c * v, top[i][t])
+            res = (acc, False)
         self._pp_cache[key] = res
         self._pp_cache[(db, l, da, k)] = ({c: -v for c, v in res[0].items()}, res[1])
         return res
@@ -694,31 +523,8 @@ class TruncatedAlgebra:
     def _decomposition(self, deg):
         """Per basis vector at deg (height at least two), the list of (i, y)
         with y coordinates at deg - alpha_i (i 0-based) and the vector equal
-        to sum_i [e_i, y]: its T-images solved over those of the candidates
-        [e_i, b], in the span the build kept."""
-        data = self._degree(deg)
-        if data.decomp is None:
-            n = self.gcm.n
-            span, keys = data.spanning
-            decomp = []
-            for k in range(data.mult):
-                comb = span.solve(_flat(data.lower[k], n))
-                if comb is None:
-                    raise InternalInconsistency(
-                        "brackets of the generators with the basis below do not "
-                        f"span degree {list(deg)}",
-                        degree=list(deg),
-                        rank=len(span),
-                        expected=data.mult,
-                    )
-                parts: dict = {}
-                for c, v in comb.items():
-                    i, l, _, _ = data.candidates[keys[c]]
-                    parts.setdefault(i, {})[l] = v
-                decomp.append(sorted(parts.items()))
-            data.decomp = decomp
-            data.spanning = None  # only the decomposition reads it
-        return data.decomp
+        to sum_i [e_i, y]."""
+        return self._degree(deg).decomp
 
     def _gram(self, deg):
         """(G, span) at deg: G[k][l] = L (p_k | mirror p_l), and the span of
@@ -790,10 +596,10 @@ def build_truncated(g: GCM, height: int, mode: str = "strict",
     """Build the truncation at the given height bound, every degree of the
     window included.
 
-    Every degree's candidate rank is cross-checked against the multiplicity
-    table.  mode is "strict" or "fast"; both select the same construction.
-    The estimated dimension must stay within the cap (resolve_cap), and so
-    must the number of Lyndon words any one degree scans for its basis.
+    Each degree is one elimination pass over its candidates [b, e_i], and
+    its rank is cross-checked against the multiplicity table.  mode is
+    "strict" or "fast"; both select the same construction.  The estimated
+    dimension of the window must stay within the cap (resolve_cap).
     """
     alg = truncated_on_demand(g, height, mode, cap, table)
     for deg in _window(g.n, height):
@@ -805,7 +611,7 @@ def _window(n: int, height: int):
     # every degree of the window (nonnegative, height 1..height) by height
     level = [(0,) * n]
     for _ in range(height):
-        level = sorted({d[:i] + (d[i] + 1,) + d[i + 1:] for d in level for i in range(n)})
+        level = sorted({_plus(d, i) for d in level for i in range(n)})
         yield from level
 
 
@@ -832,7 +638,7 @@ def truncated_on_demand(g: GCM, height: int, mode: str = "strict",
             estimated=estimated,
             cap=cap,
         )
-    return TruncatedAlgebra(g, height, cap, table)
+    return TruncatedAlgebra(g, height, table)
 
 
 # ---------------------------------------------------------------------------

@@ -242,7 +242,6 @@ def peterson_multiplicities(g: GCM, height: int) -> MultTable:
     n = g.n
     sym = gcm_mod.symmetrized(g)
     two_d = [2 * di for di in g.symmetrizer]
-    scale = lcm(*range(1, height + 1))
     # N(v) = sum of q v_i v_j over i <= j
     norm_terms = [
         (i, j, sym[i][j] if i == j else 2 * sym[i][j]) for i in range(n) for j in range(i, n)
@@ -259,6 +258,9 @@ def peterson_multiplicities(g: GCM, height: int) -> MultTable:
 
     def steps():
         # one step per height: the roots of that height with their multiplicities
+        # lcm(1..height) grows with the top height, so a table that is never
+        # read (a pi-system's given oracle) does not compute it
+        scale = lcm(*range(1, height + 1))
         mult: dict[int, int] = {}  # by packed key, roots only
         # live[h]: (key, C, N) for each vector of height h with C != 0, N its norm
         live: list[list[tuple[int, int, int]]] = [[] for _ in range(height + 1)]

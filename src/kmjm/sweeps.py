@@ -200,7 +200,7 @@ def run_permissable(config: SweepConfig = SweepConfig()) -> SuiteReport:
 # random instances shared by reg-grade and regdomthm
 
 # Indecomposable and decomposable GCMs of rank <= 3 with entries >= -4,
-# spanning finite, affine, hyperbolic and wild indefinite type.
+# covering finite, affine, hyperbolic and wild indefinite type.
 _POOL = (
     ((2,),),
     # rank 2

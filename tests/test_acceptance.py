@@ -31,7 +31,7 @@ from kmjm import (
 )
 from kmjm.lattice import RootVec
 from kmjm._linalg import _span_of
-from kmjm.realize import _flat
+from kmjm.realize import _flat, _minus
 from kmjm.sl2 import verify_triple_elements
 from kmjm.sweeps import SUITES, SweepConfig
 
@@ -73,12 +73,15 @@ def test_criterion_1_realization_matches_oracle():
             alg = build_truncated(g, height, mode="strict")
             fresh = peterson_multiplicities(g, height)
             for deg, data in alg.degrees.items():
-                # the exact rank of the brackets [e_i, b] on one side, the
-                # recursion on the other; a simple root has no candidates
+                # the exact rank of the brackets [b, e_i], made again from the
+                # degrees below, on one side, the recursion on the other; a
+                # simple root has no candidates
                 if sum(deg) == 1:
-                    rank = len(data.chosen)
+                    rank = len(data.lower)
                 else:
-                    flat = [_flat(t, g.n) for _, _, t, _ in data.candidates]
+                    flat = [_flat(alg._raise_tvec(i, -1, _minus(deg, i), {l: 1}), g.n)
+                            for i in range(g.n) if deg[i]
+                            for l in range(alg.degrees[_minus(deg, i)].mult)]
                     rank = len(_span_of(flat)[0])
                 assert rank == fresh.mult.get(RootVec(deg), 0), (
                     f"graded dimension mismatch at {list(deg)} for {matrix}"

@@ -33,7 +33,6 @@ from kmjm.realize import (
     DEFAULT_CAP,
     AlgElement,
     _minus,
-    lyndon_words,
     peterson_multiplicities,
     resolve_cap,
     truncated_on_demand,
@@ -286,14 +285,12 @@ def test_resource_cap(monkeypatch):
     monkeypatch.delenv("KMJM_CAP")
 
 
-def test_resource_cap_bounds_the_lyndon_scan():
-    # affine A1 stays tiny (dimension 92 at height 30) while the Lyndon words
-    # scanned before a degree's first independent one grow without bound
-    with pytest.raises(ResourceCap) as err:
-        build_truncated(validate_gcm(A1_AFFINE), 30, cap=1000)
-    assert err.value.context["cap"] == 1000
-    assert err.value.context["scanned"] == 1001
-    assert sum(err.value.context["degree"]) <= 30
+def test_affine_a1_builds_tall_and_small():
+    # affine A1 stays tiny (dimension 92 at height 30): a degree reads only
+    # its candidates, however many brackets of its generators vanish there
+    alg = build_truncated(validate_gcm(A1_AFFINE), 30, cap=1000)
+    assert alg.dim == 92
+    assert all(alg.degrees[(k, k)].mult == 1 for k in range(1, 16))
 
 
 def test_cap_resolution(monkeypatch):
@@ -331,13 +328,15 @@ WILD3 = [[2, -4, -4], [-4, 2, -4], [-4, -4, 2]]
 
 
 def _structure_digest(alg):
-    # the chosen Lyndon words per degree, then every [p, p] bracket of basis
-    # vectors inside the window and every [p, f_j], in a fixed order
+    # the T-images of the basis per degree, then every [p, p] bracket of
+    # basis vectors inside the window and every [p, f_j], in a fixed order
     out = hashlib.sha256()
     degs = sorted(alg.degrees, key=lambda d: (sum(d), d))
     basis = []
     for deg in degs:
-        out.update(repr((deg, alg.degrees[deg].chosen)).encode())
+        lower = [sorted((j, sorted(t.items())) for j, t in low.items())
+                 for low in alg.degrees[deg].lower]
+        out.update(repr((deg, lower)).encode())
         basis.extend((sum(deg), x) for x in alg.positive_basis(rootvec(deg)))
     for ha, x in basis:
         for hb, y in basis:
@@ -352,23 +351,75 @@ def _structure_digest(alg):
     "matrix, height, mode, digest",
     [
         (A2, 8, "strict",
-         "e0479bca1a17dffc708c2b7a0850b5cfa3a03789b77508cf6b6d9de390ae437f"),
+         "2c18bb300d714ac8bdbe468a42a45cf9b9b420d04b539f5e7265f66fe1487aad"),
         (H3, 8, "fast",
-         "648b65daba2df065d13d69a3021336277e4313828a856f9236634bdcea6304bc"),
+         "8e540095c3d288e01fd07ebb604692f0e3c810509c0300dfd71316d7ab66384a"),
         (A2_AFFINE, 7, "fast",
-         "0b6ec5bae154aa497cef578dd50147d6a8b414735b01c47c996c637b69e235df"),
+         "001d10543156dedb73551a606a0f10ac358819f6351d55d64113267ef29b6b7a"),
         (WILD3, 5, "fast",
-         "0b591772eeca9a99ce71c231506f6dd386416a6c3dcf90ca445bd0d7559acf2e"),
+         "530e5b73db708509d8ff56be897bb61bd7e1bd4e55c6ca3306036fc4b1746f67"),
     ],
 )
 def test_pinned_basis_and_structure_constants(matrix, height, mode, digest):
-    # recorded from the Fraction build before it moved to integer kernels:
-    # the same basis and the same structure constants, bit for bit
+    # recorded when the basis of a degree became its first independent
+    # candidates [b, e_i]: the same basis and the same structure constants,
+    # bit for bit (test_pinned_invariants_of_the_structure_constants holds
+    # across that change of basis)
     alg = build_truncated(validate_gcm(matrix), height, mode=mode)
     assert _structure_digest(alg) == digest
 
 
-_coeffs = st.fractions(-6, 6, max_denominator=4)
+def _charpoly(a):
+    # det(x I - a), leading coefficient first, by Faddeev-LeVerrier:
+    # M_k = a M_{k-1} + c_{k-1} I and c_k = -tr(a M_k) / k
+    n = len(a)
+    coeffs = [Fraction(1)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(a[r][t] * m[t][c] for t in range(n)) + (coeffs[-1] if r == c else 0)
+              for c in range(n)] for r in range(n)]
+        coeffs.append(-sum(a[r][t] * m[t][r] for r in range(n) for t in range(n)) / k)
+    return coeffs
+
+
+def _invariant_digest(alg):
+    # the characteristic polynomial of ad f_i ad e_i on every root space
+    # below the top height, per degree and i: a similarity invariant, so it
+    # pins the structure constants whatever basis each degree chooses
+    out = hashlib.sha256()
+    for beta in alg.table.roots():
+        if beta.height >= alg.height:
+            continue
+        basis = alg.positive_basis(beta)
+        keys = [_basis_key(x) for x in basis]
+        for i in range(1, alg.gcm.n + 1):
+            cols = [alg.bracket(alg.f(i), alg.bracket(alg.e(i), x)).terms for x in basis]
+            assert all(set(col) <= set(keys) for col in cols)
+            mat = [[Fraction(col.get(key, 0)) for col in cols] for key in keys]
+            poly = [str(c) for c in _charpoly(mat)]
+            out.update(json.dumps([list(beta.coeffs), i, poly]).encode())
+    return out.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "matrix, height, digest",
+    [
+        (A2, 8, "02aaecacb6e6a1d2092f300c87c9303f6685ec2ea249ceaa2e8574246bc242bf"),
+        (H3, 8, "71899e2ab57af08c32f1ef0696893092afe927c75b825b6c86095cc2930139bd"),
+        (A2_AFFINE, 7, "ee32ff91dea9cb61ab37373bcd69ebc26aae41932a9e1b4da9ffea9c2c1ac21e"),
+        (WILD3, 5, "72fa1fe2fc39a29072f169993890cb999cca907a29d378ba45287f935c8ffc2f"),
+        (H51, 8, "b43ebc795579a7bc82cb9f8be8c05debc2987677701f5a707d2b66f340c96fca"),
+    ],
+    ids=["A2-8", "H3-8", "A2_AFFINE-7", "WILD3-5", "H51-8"],
+)
+def test_pinned_invariants_of_the_structure_constants(matrix, height, digest):
+    # the structure constants up to a change of basis in each degree: these
+    # hold across any rule that chooses the basis
+    alg = build_truncated(validate_gcm(matrix), height)
+    assert _invariant_digest(alg) == digest
+
+
+_coeffs =st.fractions(-6, 6, max_denominator=4)
 _vecs = st.dictionaries(st.integers(0, 7), _coeffs, max_size=6)
 
 
@@ -455,22 +506,22 @@ def _mixed_digest(alg):
     "matrix, height, mode, digest",
     [
         (H3, 8, "fast",
-         "22d34529d637761d657219ddc6b47badaa089522ba1a7f8bc633cf99b2a23ade"),
+         "eac7e4fc75c5947b3eeb746089c66d59ee980edc1845d561f1c8da63db16aa7d"),
         (A2_AFFINE, 7, "fast",
-         "00b78502d47fcb1ade52607a7a15f29277cedc91274828f754d500cb7bcda6fc"),
+         "4871b22e11e1891a2038bf962a25b0226257674bb0289626c9bb68b6483d247d"),
         (WILD3, 5, "fast",
-         "61a38f997fc168729707c31a0c5cbe85304576dfb9da4d512fe8e2947665496d"),
+         "510aad67f4365d29eb6f1da54a7d6276348b8b5490a1661589f4e96354bcc41f"),
         (A2, 4, "strict",
          "2830a3b0f7197c5dfdf4ff2a745d6bfbe7502ca12b33afe05b15c837da084699"),
         (H51, 8, "fast",
-         "cc41d83f7e02665a9d093203bdc59c10b5e7e7e09430a09d4247b1010118ad17"),
+         "f64813c24fb5150a891170160e28bf2a90761bd550da4c4e78e3b1cf48052916"),
     ],
 )
 def test_pinned_mixed_brackets(matrix, height, mode, digest):
-    # the first four were recorded from the Lyndon-word derivation route for
-    # [p, n] before the generator decomposition replaced it, the fifth (with
-    # symmetrizer (5, 1)) from the generator decomposition before the
-    # invariant form replaced it: the same mixed brackets, exactly
+    # all but A2 at 4 were recorded when the basis of a degree became its
+    # first independent candidates [b, e_i]; A2 at 4, whose basis that kept,
+    # from the Lyndon-word derivation route for [p, n] before the generator
+    # decomposition replaced it: the same mixed brackets, exactly
     alg = build_truncated(validate_gcm(matrix), height, mode=mode)
     assert _mixed_digest(alg) == digest
 
@@ -572,37 +623,35 @@ def test_degenerate_form_raises():
     assert err.value.context == {"degree": [1, 1, 1], "rank": 1, "expected": 2}
 
 
-def test_decomposition_needs_spanning_candidates():
-    # a basis vector whose T-images are not a combination of the candidates'
-    # has no decomposition p = sum_i [e_i, y_i], so no mixed bracket with its
-    # mirror can be computed; here the span of the candidates that the build
-    # keeps is replaced by an empty one
-    alg = build_truncated(validate_gcm(A2), 3, mode="fast")
-    alg.degrees[(1, 1)].spanning = (_Span(), [])
-    n = alg.negative_basis(rootvec((1, 1)))[0]
-    with pytest.raises(InternalInconsistency, match="do not span") as err:
-        alg.bracket(alg.e(1), n)
-    assert err.value.context == {"degree": [1, 1], "rank": 0, "expected": 1}
+def _t_image(alg, x, j):
+    # T_j x = [x, f_j] of a positive element, from the T-images of the basis
+    # that the build records (j 0-based)
+    out = alg.zero()
+    for key, c in x.terms.items():
+        out = out + c * _ref_t_image(alg, key, j)
+    return out
 
 
-def test_escaped_quotient_basis_still_raises(algebra):
-    # T-images that are not those of an element of the degree have no
-    # coordinates over its basis
-    alg = algebra(A2, 4)
-    data = alg.degrees[(1, 1)]
-    with pytest.raises(InternalInconsistency, match="escaped the quotient basis"):
-        alg._solve((1, 1), {0: {0: Fraction(1)}, 1: {0: Fraction(1)}}, data)
-
-
-@given(st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(lambda c: 0 < sum(c) <= 8))
-def test_lyndon_words_match_definition(content):
-    # against the definition: strictly less than every proper rotation
-    letters = [i + 1 for i, k in enumerate(content) for _ in range(k)]
-    want = sorted(
-        w for w in set(itertools.permutations(letters))
-        if all(w < w[k:] + w[:k] for k in range(1, len(w)))
-    )
-    assert lyndon_words(content) == want
+@pytest.mark.parametrize(
+    "matrix, height", [(A2, 8), (H3, 8), (A2_AFFINE, 7), (WILD3, 5), (H51, 8)],
+    ids=["A2-8", "H3-8", "A2_AFFINE-7", "WILD3-5", "H51-8"],
+)
+def test_positive_brackets_satisfy_the_leibniz_rule(matrix, height):
+    # a second route for [p_a, p_b]: a positive element is fixed by its
+    # T-images, and T_j [x, y] = [T_j x, y] + [x, T_j y] holds for every j,
+    # with the right side one height lower; so, over all pairs and by
+    # induction on height, every bracket of the Jacobi route is checked
+    # against the lowering data of the build alone
+    alg = build_truncated(validate_gcm(matrix), height)
+    pos, _ = _bases(alg)
+    for x in pos:
+        for y in pos:
+            if sum(_basis_key(x)[1]) + sum(_basis_key(y)[1]) > height:
+                continue
+            got = alg.bracket(x, y)
+            for j in range(alg.gcm.n):
+                want = alg.bracket(_t_image(alg, x, j), y) + alg.bracket(x, _t_image(alg, y, j))
+                assert _t_image(alg, got, j) == want, (x, y, j)
 
 
 @pytest.mark.parametrize("matrix, height", [(H3, 8), (A2_AFFINE, 7), (WILD3, 5)])
@@ -631,7 +680,7 @@ def test_on_demand_matches_eager_queried_top_down(matrix, height):
     assert set(lazy.degrees) <= set(eager.degrees)
     assert {d for d in eager.degrees if eager.degrees[d].mult} <= set(lazy.degrees)
     for deg in lazy.degrees:
-        assert lazy.degrees[deg].chosen == eager.degrees[deg].chosen
+        assert lazy.degrees[deg].lower == eager.degrees[deg].lower
 
 
 def test_on_demand_builds_only_the_downward_closure():

@@ -3,6 +3,7 @@ import hashlib
 import pickle
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -155,6 +156,22 @@ def test_low_first_read_keeps_the_pinned_tables(matrix, height, digest):
     assert tab.mult._filled == g.n
     assert _table_digest(tab) == digest
     assert tab.mult._filled == height and tab.multiplicity(low) == m
+
+
+def test_scale_waits_for_the_first_read(monkeypatch):
+    # lcm(1..height) grows with the top height, so a table that is made and
+    # never read must not pay for it
+    calls = []
+
+    def spy(*args):
+        calls.append(len(args))
+        return lcm(*args)
+
+    monkeypatch.setattr(roots, "lcm", spy)
+    tab = peterson_multiplicities(validate_gcm(A2), 50)
+    assert calls == []
+    assert tab.multiplicity(rootvec((1, 1))) == 1
+    assert calls == [50]
 
 
 @pytest.mark.parametrize(
