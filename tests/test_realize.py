@@ -327,24 +327,122 @@ def test_build_argument_validation():
 WILD3 = [[2, -4, -4], [-4, 2, -4], [-4, -4, 2]]
 
 
-def _structure_digest(alg):
-    # the T-images of the basis per degree, then every [p, p] bracket of
-    # basis vectors inside the window and every [p, f_j], in a fixed order
+def _is_lyndon(w):
+    # strictly less than every proper rotation
+    return all(w < w[k:] + w[:k] for k in range(1, len(w)))
+
+
+def _words(counts):
+    # the words with this letter content, in lex order
+    if not any(counts):
+        yield ()
+        return
+    for i, c in enumerate(counts):
+        if c:
+            counts[i] -= 1
+            for rest in _words(counts):
+                yield (i + 1,) + rest
+            counts[i] += 1
+
+
+def _own_frame(alg):
+    # the algebra's basis as it is built: per degree the T-images that record
+    # it, its basis vectors, and coordinates unchanged
+    def header(deg):
+        return [sorted((j, sorted(t.items())) for j, t in low.items())
+                for low in alg.degrees[deg].lower]
+
+    basis = {deg: alg.positive_basis(rootvec(deg)) for deg in alg.degrees}
+    return header, basis, lambda y: y
+
+
+def _lyndon_frame(alg):
+    # the basis the algebra had before it took its candidates: per degree the
+    # images of the first Lyndon words (in lex order) whose images are
+    # independent, the image of a word being the standard bracketing
+    # [std(u), std(v)], v the longest proper Lyndon suffix; every element is
+    # written over that basis, degree by degree
+    images = {}
+
+    def image(w):
+        x = images.get(w)
+        if x is None:
+            if len(w) == 1:
+                x = alg.e(w[0])
+            else:
+                k = next(k for k in range(1, len(w)) if _is_lyndon(w[k:]))
+                x = alg.bracket(image(w[:k]), image(w[k:]))
+            images[w] = x
+        return x
+
+    chosen, spans = {}, {}
+    for deg, data in alg.degrees.items():
+        span, words = _Span(), []
+        for w in (w for w in _words(list(deg)) if _is_lyndon(w)) if data.mult else ():
+            if span.add({k[2]: v for k, v in image(w).terms.items()}) is None:
+                words.append(w)
+                if len(words) == data.mult:
+                    break
+        assert len(words) == data.mult
+        chosen[deg], spans[deg] = words, span
+
+    def express(y):
+        out, parts = {}, {}
+        for key, v in y.terms.items():
+            if key[0] == "h":
+                out[key] = v
+            else:
+                parts.setdefault(key[:2], {})[key[2]] = v
+        for (kind, deg), coords in parts.items():
+            got = spans[deg].solve(coords)
+            assert got is not None
+            out.update({(kind, deg, k): c for k, c in got.items() if c})
+        return AlgElement(alg, out)
+
+    basis = {deg: [image(w) for w in words] for deg, words in chosen.items()}
+    return chosen.get, basis, express
+
+
+def _structure_digest(alg, frame):
+    # the frame's record of the basis per degree, then every [p, p] bracket
+    # of basis vectors inside the window and every [p, f_j], written over the
+    # frame's basis, in a fixed order
+    header, bases, express = frame
     out = hashlib.sha256()
     degs = sorted(alg.degrees, key=lambda d: (sum(d), d))
     basis = []
     for deg in degs:
-        lower = [sorted((j, sorted(t.items())) for j, t in low.items())
-                 for low in alg.degrees[deg].lower]
-        out.update(repr((deg, lower)).encode())
-        basis.extend((sum(deg), x) for x in alg.positive_basis(rootvec(deg)))
+        out.update(repr((deg, header(deg))).encode())
+        basis.extend((sum(deg), x) for x in bases[deg])
     for ha, x in basis:
         for hb, y in basis:
             if ha + hb <= alg.height:
-                out.update(json.dumps(alg.bracket(x, y).to_serial()).encode())
+                out.update(json.dumps(express(alg.bracket(x, y)).to_serial()).encode())
         for j in range(1, alg.gcm.n + 1):
-            out.update(json.dumps(alg.bracket(x, alg.f(j)).to_serial()).encode())
+            out.update(json.dumps(express(alg.bracket(x, alg.f(j))).to_serial()).encode())
     return out.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "matrix, height, mode, digest",
+    [
+        (A2, 8, "strict",
+         "e0479bca1a17dffc708c2b7a0850b5cfa3a03789b77508cf6b6d9de390ae437f"),
+        (H3, 8, "fast",
+         "648b65daba2df065d13d69a3021336277e4313828a856f9236634bdcea6304bc"),
+        (A2_AFFINE, 7, "fast",
+         "0b6ec5bae154aa497cef578dd50147d6a8b414735b01c47c996c637b69e235df"),
+        (WILD3, 5, "fast",
+         "0b591772eeca9a99ce71c231506f6dd386416a6c3dcf90ca445bd0d7559acf2e"),
+    ],
+)
+def test_pinned_basis_and_structure_constants(matrix, height, mode, digest):
+    # recorded from the Fraction build before it moved to integer kernels,
+    # over the Lyndon-word basis that build chose: written over that basis
+    # again, the same Lyndon words and the same structure constants, bit for
+    # bit
+    alg = build_truncated(validate_gcm(matrix), height, mode=mode)
+    assert _structure_digest(alg, _lyndon_frame(alg)) == digest
 
 
 @pytest.mark.parametrize(
@@ -360,13 +458,12 @@ def _structure_digest(alg):
          "530e5b73db708509d8ff56be897bb61bd7e1bd4e55c6ca3306036fc4b1746f67"),
     ],
 )
-def test_pinned_basis_and_structure_constants(matrix, height, mode, digest):
+def test_pinned_candidate_basis_and_structure_constants(matrix, height, mode, digest):
     # recorded when the basis of a degree became its first independent
     # candidates [b, e_i]: the same basis and the same structure constants,
-    # bit for bit (test_pinned_invariants_of_the_structure_constants holds
-    # across that change of basis)
+    # bit for bit
     alg = build_truncated(validate_gcm(matrix), height, mode=mode)
-    assert _structure_digest(alg) == digest
+    assert _structure_digest(alg, _own_frame(alg)) == digest
 
 
 def _charpoly(a):
@@ -419,7 +516,7 @@ def test_pinned_invariants_of_the_structure_constants(matrix, height, digest):
     assert _invariant_digest(alg) == digest
 
 
-_coeffs =st.fractions(-6, 6, max_denominator=4)
+_coeffs = st.fractions(-6, 6, max_denominator=4)
 _vecs = st.dictionaries(st.integers(0, 7), _coeffs, max_size=6)
 
 
@@ -492,14 +589,41 @@ def _basis_key(x):
     return key
 
 
-def _mixed_digest(alg):
-    # every [p_a, n_b] over the positive and negative bases, in a fixed order
+def _mixed_digest(alg, frame):
+    # every [p_a, n_b] over the frame's positive basis and its mirror, written
+    # over the frame's basis, in a fixed order
+    _, bases, express = frame
+    pos = [x for d in sorted(alg.degrees, key=lambda d: (sum(d), d)) for x in bases[d]]
     out = hashlib.sha256()
-    pos, neg = _bases(alg)
     for x in pos:
-        for y in neg:
-            out.update(json.dumps(alg.bracket(x, y).to_serial()).encode())
+        for y in pos:
+            out.update(json.dumps(express(alg.bracket(x, alg._mirror_elt(y))).to_serial()).encode())
     return out.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "matrix, height, mode, digest",
+    [
+        (H3, 8, "fast",
+         "22d34529d637761d657219ddc6b47badaa089522ba1a7f8bc633cf99b2a23ade"),
+        (A2_AFFINE, 7, "fast",
+         "00b78502d47fcb1ade52607a7a15f29277cedc91274828f754d500cb7bcda6fc"),
+        (WILD3, 5, "fast",
+         "61a38f997fc168729707c31a0c5cbe85304576dfb9da4d512fe8e2947665496d"),
+        (A2, 4, "strict",
+         "2830a3b0f7197c5dfdf4ff2a745d6bfbe7502ca12b33afe05b15c837da084699"),
+        (H51, 8, "fast",
+         "cc41d83f7e02665a9d093203bdc59c10b5e7e7e09430a09d4247b1010118ad17"),
+    ],
+)
+def test_pinned_mixed_brackets(matrix, height, mode, digest):
+    # the first four were recorded from the Lyndon-word derivation route for
+    # [p, n] before the generator decomposition replaced it, the fifth (with
+    # symmetrizer (5, 1)) from the generator decomposition before the
+    # invariant form replaced it, all over the Lyndon-word basis: written
+    # over that basis again, the same mixed brackets, exactly
+    alg = build_truncated(validate_gcm(matrix), height, mode=mode)
+    assert _mixed_digest(alg, _lyndon_frame(alg)) == digest
 
 
 @pytest.mark.parametrize(
@@ -517,13 +641,12 @@ def _mixed_digest(alg):
          "f64813c24fb5150a891170160e28bf2a90761bd550da4c4e78e3b1cf48052916"),
     ],
 )
-def test_pinned_mixed_brackets(matrix, height, mode, digest):
-    # all but A2 at 4 were recorded when the basis of a degree became its
-    # first independent candidates [b, e_i]; A2 at 4, whose basis that kept,
-    # from the Lyndon-word derivation route for [p, n] before the generator
-    # decomposition replaced it: the same mixed brackets, exactly
+def test_pinned_candidate_basis_mixed_brackets(matrix, height, mode, digest):
+    # recorded when the basis of a degree became its first independent
+    # candidates [b, e_i]; A2 at 4 kept its basis, and its digest, through
+    # that change
     alg = build_truncated(validate_gcm(matrix), height, mode=mode)
-    assert _mixed_digest(alg) == digest
+    assert _mixed_digest(alg, _own_frame(alg)) == digest
 
 
 def _ref_t_image(alg, pk, i):
