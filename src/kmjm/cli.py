@@ -385,12 +385,11 @@ def _cmd_realize(args, rc: RunConfig):
 
 def _cmd_rank2(args, rc: RunConfig):
     from .rank2 import (
-        Rank2Label,
-        b_seq,
+        _b_seq_list,
+        _family_root_lists,
+        _gamma_eta_lists,
         build_exceptional_triple,
         classify_intersection,
-        family_root,
-        gamma_eta,
     )
 
     a, b = args.a, args.b
@@ -399,22 +398,17 @@ def _cmd_rank2(args, rc: RunConfig):
         count = args.count if args.count is not None else 8
         if count < 1:
             raise UsageError("--count must be >= 1")
-        pairs = [gamma_eta(a, b, j) for j in range(count)]
-        out = {
-            "gamma": [str(p[0]) for p in pairs],
-            "eta": [str(p[1]) for p in pairs],
-        }
+        gams, etas = _gamma_eta_lists(a, b, count - 1)
+        out = {"gamma": [str(v) for v in gams], "eta": [str(v) for v in etas]}
         if a == b:
-            out["b_seq"] = [str(b_seq(a, n)) for n in range(count)]
+            out["b_seq"] = [str(v) for v in _b_seq_list(a, count)]
         return out
     if args.action == "families":
         count = args.count if args.count is not None else 4
         if count < 1:
             raise UsageError("--count must be >= 1")
-        return {
-            fam: [_coeff_list(family_root(g, Rank2Label(fam, j))) for j in range(count)]
-            for fam in ("LL", "LU", "SU", "SL")
-        }
+        return {fam: [_coeff_list(r) for r in roots]
+                for fam, roots in _family_root_lists(g, count).items()}
     # classify and triple both need the slice coordinates
     if not (args.word and args.tau and args.degree is not None):
         raise UsageError(f"rank2 {args.action} needs --word, --tau and -d")

@@ -138,8 +138,20 @@ def gamma_eta(a: int, b: int, j: int) -> tuple[int, int]:
     return gam, eta
 
 
+def _b_seq_list(a: int, count: int) -> list[int]:
+    # b_0..b_{count-1} in one pass
+    if a < 3:
+        raise ValueError(f"the symmetric family needs a >= 3 (a^2 >= 5), got a = {a}")
+    out = [0, 1][:count]
+    while len(out) < count:
+        out.append(a * out[-1] - out[-2])
+    return out
+
+
 def _gamma_eta_lists(a: int, b: int, count: int) -> tuple[list[int], list[int]]:
     # gamma_0..gamma_count and eta_0..eta_count in one pass
+    if a * b < 5:
+        raise ValueError(f"need ab >= 5, got ab = {a * b}")
     gams, etas = [0], [1]
     for _ in range(count):
         gams.append(etas[-1] - gams[-1])
@@ -158,14 +170,32 @@ def family_root(g: GCM, label: Rank2Label) -> RootVec:
         sw = family_root(_swap_gcm(g), label)
         return RootVec((sw.coeffs[1], sw.coeffs[0]))
     gj, ej = gamma_eta(a, b, label.j)
-    if label.family == "LL":
-        return RootVec((ej, a * gj))
-    if label.family == "SU":
-        return RootVec((b * gj, ej))
     gj1, _ = gamma_eta(a, b, label.j + 1)
-    if label.family == "LU":
+    return _member(label.family, a, b, gj, gj1, ej)
+
+
+def _member(family: str, a: int, b: int, gj: int, gj1: int, ej: int) -> RootVec:
+    # the formulas of family_root (a >= b) from gamma_j, gamma_{j+1}, eta_j
+    if family == "LL":
+        return RootVec((ej, a * gj))
+    if family == "LU":
         return RootVec((ej, a * gj1))
+    if family == "SU":
+        return RootVec((b * gj, ej))
     return RootVec((b * gj1, ej))  # SL
+
+
+def _family_root_lists(g: GCM, count: int) -> dict[str, list[RootVec]]:
+    # family_root at j = 0..count-1, per family, from one pass of the
+    # sequences
+    a, b = ab_of(g)
+    if a < b:
+        swapped = _family_root_lists(_swap_gcm(g), count)
+        return {fam: [RootVec((r.coeffs[1], r.coeffs[0])) for r in roots]
+                for fam, roots in swapped.items()}
+    gams, etas = _gamma_eta_lists(a, b, count)
+    return {fam: [_member(fam, a, b, gams[j], gams[j + 1], etas[j]) for j in range(count)]
+            for fam in _FAMILIES}
 
 
 def defining_word(g: GCM, label: Rank2Label) -> tuple[WeylWord, int]:

@@ -46,17 +46,27 @@ symmetrizer d.  Per degree one Gram matrix G[k][l] = (p_k | mirror p_l) is
 kept, scaled by L = lcm(d) so that (e_i | f_i) = L / d_i is an integer; it
 follows from the degrees below by invariance,
 (p | [f_i, z]) = ([p, f_i] | z) = (T_i p | z), over the decomposition
-p = sum_i [e_i, y_i].  For x = p_k at alpha = sum_i a_i alpha_i and
-n = mirror p_l at -beta:
-  - alpha = beta: [x, n] = G_alpha[k][l] / L * sum_i a_i d_i h_i;
-  - alpha - beta = gamma > 0: [x, n] = sum_s c_s p_s, and pairing with the
-    mirror of p_t gives c G_gamma = ((x | mirror [p_l, p_t]))_t, where
-    [p_l, p_t] lies at alpha, inside the window;
-  - beta - alpha > 0: the automorphism above maps [x, n] to
-    -[p_l, mirror p_k], which is the case before;
-  - otherwise alpha - beta is not a root and [x, n] = 0.
-Each is memoized per pair of basis vectors, and each G_gamma is solved
-through the elimination above.
+p = sum_i [e_i, y_i].
+
+A mixed bracket is taken one homogeneous block at a time: each argument's
+positive and negative terms are grouped by degree, and each pair of blocks,
+x = sum_k a_k p_k at alpha = sum_i m_i alpha_i and n = sum_l b_l mirror p_l
+at -beta, costs one of these, with gamma = alpha - beta:
+  - beta = alpha_j, so n = b f_j: [x, n] = b T_j x, a read of the T-images
+    the build recorded, with no form at all.  Every step of a transport
+    (exp_ad with e_i or f_i) is this case or its mirror;
+  - gamma = 0: with c = sum_k sum_l a_k b_l G_alpha[k][l] = L (x | n),
+    [x, n] = c / L * sum_i m_i d_i h_i;
+  - gamma > 0: [x, n] = sum_s c_s p_s, and pairing with the mirror of p_t
+    gives c G_gamma = r, r_t = sum_l b_l <u, [p_l, p_t]> for the functional
+    u = a G_alpha, where [p_l, p_t] lies at alpha, inside the window: one
+    solve per block;
+  - gamma < 0: the automorphism above maps [x, n] to -[mirror n, mirror x],
+    a bracket with -gamma > 0;
+  - otherwise gamma is not a root and [x, n] = 0.
+No mixed bracket is memoized.  G_gamma is inverted only where a solve needs
+it: the span of its rows is made through the elimination above on the first
+solve at gamma, and that is where a degenerate form is caught.
 
 Coefficients are integer-first, the convention of _rational in _linalg: a
 coefficient is an int when it is integral and a Fraction only when it is not.
@@ -79,6 +89,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import sub
 
 from ._linalg import _rational, _Span, _span_of
 from .errors import (
@@ -225,9 +236,10 @@ class _DegreeData:
     # over the simple coroots, 0-based).  up[i][l] is [e_i, b_l] over the
     # basis, b_l the l-th basis vector at deg - alpha_i, and decomp writes
     # each basis vector as sum_i [e_i, y_i]; both come with the basis.  gram
-    # is the scaled invariant form with the span of its rows, filled on first
-    # use (None until then).
-    __slots__ = ("mult", "lower", "up", "decomp", "gram")
+    # is the scaled invariant form, filled by the first mixed bracket that
+    # reads it, and gram_span the span of its rows, made by the first solve
+    # at this degree (None until then).
+    __slots__ = ("mult", "lower", "up", "decomp", "gram", "gram_span")
 
     def __init__(self):
         self.mult = 0
@@ -235,6 +247,7 @@ class _DegreeData:
         self.up = {}
         self.decomp = []
         self.gram = None
+        self.gram_span = None
 
 
 def _minus(deg, i):
@@ -256,6 +269,14 @@ def _dot(coords, vec):
     return sum(v * vec[k] for k, v in coords.items())
 
 
+def _blocks(terms):
+    # {degree: {index: coefficient}} of a positive or a negative part
+    out = {}
+    for key, c in terms.items():
+        out.setdefault(key[1], {})[key[2]] = c
+    return out
+
+
 def _add_scaled(acc, scale, terms):
     for k, v in terms.items():
         s = acc.get(k, 0) + scale * v
@@ -275,7 +296,6 @@ class TruncatedAlgebra:
         self.table = table
         self.degrees: dict[tuple, _DegreeData] = {}
         self._pp_cache: dict = {}
-        self._pn_cache: dict = {}
         # positive real root -> [vector terms, companion terms or None]; plain
         # dicts, so that the memo holds no element referring back to self
         self._root_vectors: dict = {}
@@ -474,13 +494,17 @@ class TruncatedAlgebra:
                     if coords:
                         deg = tuple(a + b for a, b in zip(ak[1], bk[1]))
                         add({(kind, deg, k): v for k, v in coords.items()}, ac * bc)
-        # [p, n] and [n, p]
-        for ak, ac in xp.items():
-            for bk, bc in yn.items():
-                add(self._pn(ak, bk), ac * bc)
-        for ak, ac in xn.items():
-            for bk, bc in yp.items():
-                add(self._pn(bk, ak), -ac * bc)
+        # [p, n] and [n, p], one homogeneous block of each side at a time
+        if xp and yn:
+            nb = _blocks(yn)
+            for da, a in _blocks(xp).items():
+                for db, b in nb.items():
+                    add(self._mixed(da, a, db, b), 1)
+        if xn and yp:
+            pb = _blocks(yp)
+            for db, b in _blocks(xn).items():
+                for da, a in pb.items():
+                    add(self._mixed(da, a, db, b), -1)
         return AlgElement(self, acc), truncated
 
     def _pp(self, da, k, db, l):
@@ -527,10 +551,9 @@ class TruncatedAlgebra:
         return self._degree(deg).decomp
 
     def _gram(self, deg):
-        """(G, span) at deg: G[k][l] = L (p_k | mirror p_l), and the span of
-        the rows of G.  With mirror p_l = sum_i [f_i, mirror y_i] from the
-        decomposition, G[k][l] = sum_i (T_i p_k | mirror y_i), a form on the
-        degrees below."""
+        """G[k][l] = L (p_k | mirror p_l) at deg.  With mirror p_l =
+        sum_i [f_i, mirror y_i] from the decomposition, G[k][l] =
+        sum_i (T_i p_k | mirror y_i), a form on the degrees below."""
         data = self._degree(deg)
         if data.gram is None:
             m = data.mult
@@ -541,51 +564,74 @@ class TruncatedAlgebra:
                 for l, parts in enumerate(self._decomposition(deg)):
                     for i, y in parts:
                         # the form of each basis vector below with mirror y
-                        w = [_dot(y, row) for row in self._gram(_minus(deg, i))[0]]
+                        w = [_dot(y, row) for row in self._gram(_minus(deg, i))]
                         for k in range(m):
                             t = data.lower[k].get(i)
                             if t:
                                 gram[k][l] += _dot(t, w)
                 gram = [[_rational(v, 1) for v in row] for row in gram]  # ints stay int
-            span, _ = _span_of([dict(enumerate(row)) for row in gram])
-            if len(span) != m:
+            data.gram = gram
+        return data.gram
+
+    def _gram_span(self, deg):
+        """The span of the rows of G at deg, made on the first solve there;
+        a rank below the multiplicity means the form is degenerate."""
+        data = self._degree(deg)
+        if data.gram_span is None:
+            span, _ = _span_of([dict(enumerate(row)) for row in self._gram(deg)])
+            if len(span) != data.mult:
                 raise InternalInconsistency(
                     f"the invariant form is degenerate at degree {list(deg)}",
                     degree=list(deg),
                     rank=len(span),
-                    expected=m,
+                    expected=data.mult,
                 )
-            data.gram = (gram, span)
-        return data.gram
+            data.gram_span = span
+        return data.gram_span
 
-    def _pn(self, pk, nk):
-        # [x, n] for x = p_k at alpha and n = mirror p_l at -beta, by the
-        # cases of the module docstring; as {key: coefficient}
-        key = (pk, nk)
-        got = self._pn_cache.get(key)
-        if got is not None:
-            return got
-        _, da, k = pk
-        _, db, l = nk
-        gam = tuple(a - b for a, b in zip(da, db))
-        if da == db:
-            c = self._gram(da)[0][k][l]
-            d = self.gcm.symmetrizer
-            out = {("h", i + 1): _rational(c * a * d[i], self._form_unit)
-                   for i, a in enumerate(da) if a}
-        elif min(gam) >= 0 and self._mult(gam):
-            row = self._gram(da)[0][k]
-            rhs = {t: _dot(self._pp(db, l, gam, t)[0], row) for t in range(self._mult(gam))}
-            out = {("p", gam, s): v for s, v in self._gram(gam)[1].solve(rhs).items()}
-        elif max(gam) <= 0:
+    def _mixed(self, da, a, db, b):
+        # [x, n] for x = sum_k a[k] p_k at da and n = sum_l b[l] mirror p_l
+        # at -db, by the cases of the module docstring; as {key: coefficient}
+        if sum(db) == 1:
+            # n = b[0] f_j and [x, f_j] = T_j x, as the build recorded it
+            j = db.index(1)
+            lower = self._degree(da).lower
+            acc = {}
+            for k, ak in a.items():
+                t = lower[k].get(j)
+                if t:
+                    _add_scaled(acc, b[0] * ak, t)
+            if sum(da) == 1:
+                return {("h", s + 1): v for s, v in acc.items()}
+            gam = _minus(da, j)
+            return {("p", gam, s): v for s, v in acc.items()}
+        gam = tuple(map(sub, da, db))
+        if min(gam) < 0:
+            if max(gam) > 0:
+                return {}
             # the automorphism e_i <-> f_i, h -> -h maps [x, n] to
-            # [mirror x, p_l] = -[p_l, mirror x]
-            swapped = self._pn(("p", db, l), ("n", da, k))
-            out = {("n",) + t[1:]: -v for t, v in swapped.items()}
-        else:
-            out = {}
-        self._pn_cache[key] = out
-        return out
+            # [mirror x, mirror n] = -[mirror n, mirror x]
+            return {("n",) + key[1:]: -v for key, v in self._mixed(db, b, da, a).items()}
+        if not any(gam):
+            gram = self._gram(da)
+            c = sum(ak * bl * gram[k][l] for k, ak in a.items() for l, bl in b.items())
+            d = self.gcm.symmetrizer
+            return {("h", i + 1): _rational(c * m * d[i], self._form_unit)
+                    for i, m in enumerate(da) if m}
+        dim = self._degree(gam).mult
+        if not dim:
+            return {}
+        # pairing with the mirror of p_t: c G_gam = ((x | mirror [n', p_t]))_t
+        # for n' = sum_l b[l] p_l, and (x | mirror z) = <u, z> for u = a G_da
+        gram = self._gram(da)
+        u = [sum(ak * gram[k][s] for k, ak in a.items()) for s in range(len(gram))]
+        rhs = {}
+        for t in range(dim):
+            r = 0
+            for l, bl in b.items():
+                r += bl * _dot(self._pp(db, l, gam, t)[0], u)
+            rhs[t] = r
+        return {("p", gam, s): v for s, v in self._gram_span(gam).solve(rhs).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from kmjm import (
     simple_root,
     validate_gcm,
 )
-from kmjm.rank2 import ab_of
+from kmjm.rank2 import _b_seq_list, _family_root_lists, _gamma_eta_lists, ab_of
 from kmjm.sl2 import verify_triple_elements
 
 H23 = [[2, -3], [-2, 2]]
@@ -50,6 +50,26 @@ def test_gamma_eta_anchors():
         gamma_eta(2, 2, 3)
     with pytest.raises(ValueError):
         gamma_eta(3, 2, -1)
+
+
+def test_one_pass_lists_match_the_per_index_terms():
+    # the lists the CLI prints, built in one pass, against the terms computed
+    # one index at a time; (1, 5) and (2, 3) take the a < b swap
+    for a, b in ((3, 3), (4, 4), (5, 1), (1, 5), (3, 2), (2, 3), (6, 1)):
+        g = validate_gcm([[2, -b], [-a, 2]])
+        for count in range(1, 21):
+            gams, etas = _gamma_eta_lists(a, b, count - 1)
+            assert list(zip(gams, etas)) == [gamma_eta(a, b, j) for j in range(count)]
+            assert _family_root_lists(g, count) == {
+                fam: [family_root(g, Rank2Label(fam, j)) for j in range(count)]
+                for fam in ("LL", "LU", "SU", "SL")
+            }
+            if a == b:
+                assert _b_seq_list(a, count) == [b_seq(a, n) for n in range(count)]
+    with pytest.raises(ValueError, match="ab >= 5"):
+        _gamma_eta_lists(2, 2, 3)
+    with pytest.raises(ValueError, match="a >= 3"):
+        _b_seq_list(2, 3)
 
 
 def test_one_step_recurrence_property():

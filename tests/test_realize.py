@@ -28,7 +28,7 @@ from kmjm import (
     validate_gcm,
 )
 from kmjm import realize
-from kmjm._linalg import _Span
+from kmjm._linalg import _Span, _span_of
 from kmjm.realize import (
     DEFAULT_CAP,
     AlgElement,
@@ -731,19 +731,106 @@ def test_mixed_brackets_match_the_recursion_sampled(matrix, height):
     _assert_routes_agree(build_truncated(validate_gcm(matrix), height))
 
 
+def _block(alg, rng, deg, kind):
+    # a seeded combination of every basis vector at +deg ("p") or -deg ("n"),
+    # with int and Fraction coefficients
+    coeffs = (-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3))
+    return AlgElement(alg, {(kind, deg, k): rng.choice(coeffs) for k in range(alg._mult(deg))})
+
+
+@pytest.mark.parametrize(
+    "matrix, height", [(H3, 8), (A2_AFFINE, 7), (WILD3, 5), (A2, 4), (H51, 8)]
+)
+def test_dense_mixed_blocks_match_the_basis_pairs(matrix, height):
+    # combinations of every basis vector of a root space on both sides, so the
+    # functional u = a G and the sum over l in the block route are exercised;
+    # each bracket against the recursion, sum_k sum_l a_k b_l _ref_pn(p_k, n_l)
+    alg = build_truncated(validate_gcm(matrix), height)
+    rng = random.Random(f"{matrix}-{height}")
+    degs = sorted((d for d in alg.degrees if alg._mult(d)), key=lambda d: (sum(d), d))
+    above, level, below = [], [], []
+    for da in degs:
+        for db in degs:
+            gam = tuple(p - q for p, q in zip(da, db))
+            if not any(gam):
+                level.append((da, db))
+            elif alg._mult(gam):
+                above.append((da, db))
+            elif alg._mult(tuple(-c for c in gam)):
+                below.append((da, db))
+    memo = {}
+    picked = []
+    for pairs in (above, level, below):
+        # the widest blocks first, then a seeded sample of the rest
+        pairs.sort(key=lambda p: -alg._mult(p[0]) * alg._mult(p[1]))
+        picked += pairs[:2] + rng.sample(pairs[2:], min(6, len(pairs) - 2))
+    for da, db in picked:
+        x, n = _block(alg, rng, da, "p"), _block(alg, rng, db, "n")
+        assert alg.bracket(x, n) == _ref_bracket(alg, x, n, memo), (da, db)
+        assert alg.bracket(n, x) == _ref_bracket(alg, n, x, memo), (da, db)
+    # several blocks on each side, and a Cartan part, in one bracket
+    (da, db), (dc, dd) = picked[0], picked[-1]
+    x = _block(alg, rng, da, "p") + _block(alg, rng, dc, "p") + alg.h(1)
+    n = _block(alg, rng, db, "n") + _block(alg, rng, dd, "n") + alg.h(1)
+    assert alg.bracket(x, n) == _ref_bracket(alg, x, n, memo)
+
+
 def test_degenerate_form_raises():
     # a decomposition whose two basis vectors coincide makes the Gram matrix
-    # of their degree singular, and no mixed bracket through it is trusted
-    alg = build_truncated(validate_gcm(A2_AFFINE), 4)
+    # of their degree singular, and no mixed bracket that solves there is
+    # trusted: [x, n] with x at (2, 2, 1) and n at -(1, 1, 0) lands at
+    # (1, 1, 1), whose form is inverted on that first solve
+    alg = build_truncated(validate_gcm(A2_AFFINE), 5)
     deg = (1, 1, 1)
     decomp = alg._decomposition(deg)
     assert len(decomp) == 2
     decomp[1] = decomp[0]
-    x = alg.positive_basis(rootvec(deg))[0]
-    n = alg.negative_basis(rootvec(deg))[0]
-    with pytest.raises(InternalInconsistency, match="degenerate") as err:
-        alg.bracket(x, n)
-    assert err.value.context == {"degree": [1, 1, 1], "rank": 1, "expected": 2}
+    x = alg.positive_basis(rootvec((2, 2, 1)))[0]
+    n = alg.negative_basis(rootvec((1, 1, 0)))[0]
+    for _ in range(2):  # a failed check leaves no span behind
+        with pytest.raises(InternalInconsistency, match="degenerate") as err:
+            alg.bracket(x, n)
+        assert err.value.context == {"degree": [1, 1, 1], "rank": 1, "expected": 2}
+
+
+def test_the_form_is_inverted_only_where_a_bracket_solves(monkeypatch):
+    # transport brackets with e_i and f_i only, which read the lowering data
+    # of the build: no Gram matrix is eliminated on the way, for the four
+    # real roots that fit nor for the two at height 11 that leave the window
+    g = validate_gcm(H3)
+    alg = truncated_on_demand(g, 11)
+    spans = []
+
+    def counted(vecs):
+        spans.append(len(vecs))
+        return _span_of(vecs)
+
+    monkeypatch.setattr(realize, "_span_of", counted)
+    done = 0
+    for beta in real_roots_up_to_height(g, 11):
+        try:
+            real_root_vector(alg, beta)
+        except HeightOutOfRange:
+            continue
+        done += 1
+    assert done == 4 and spans == []
+    # a bracket with f_j, on either side, makes no Gram matrix either
+    grams = []
+    gram = realize.TruncatedAlgebra._gram
+
+    def counted_gram(self, deg):
+        grams.append(deg)
+        return gram(self, deg)
+
+    monkeypatch.setattr(realize.TruncatedAlgebra, "_gram", counted_gram)
+    fresh = build_truncated(g, 8)
+    rng = random.Random(3)
+    for deg in sorted(fresh.degrees):
+        x = _block(fresh, rng, deg, "p")
+        for j in (1, 2):
+            assert fresh.bracket(x, fresh.f(j)) == _t_image(fresh, x, j - 1)
+            assert fresh.bracket(fresh.f(j), x) == -_t_image(fresh, x, j - 1)
+    assert grams == [] and spans == []
 
 
 def _t_image(alg, x, j):
