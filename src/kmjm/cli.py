@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import EmptySlice, KmjmError, NotPiSystem, NotReduced, resolve_cap
+from .errors import EmptySlice, KmjmError, NotPiSystem, NotReduced, ResourceCap, resolve_cap
 from .gcm import norm as root_norm
 from .gcm import validate_gcm
 from .grading import check_finite_grading, phi_w_d
@@ -394,21 +394,30 @@ def _cmd_rank2(args, rc: RunConfig):
 
     a, b = args.a, args.b
     g = validate_gcm([[2, -b], [-a, 2]])
-    if args.action == "sequences":
-        count = args.count if args.count is not None else 8
+    if args.action in ("sequences", "families"):
+        default = 8 if args.action == "sequences" else 4
+        count = args.count if args.count is not None else default
         if count < 1:
             raise UsageError("--count must be >= 1")
-        gams, etas = _gamma_eta_lists(a, b, count - 1)
-        out = {"gamma": [str(v) for v in gams], "eta": [str(v) for v in etas]}
-        if a == b:
-            out["b_seq"] = [str(v) for v in _b_seq_list(a, count)]
-        return out
-    if args.action == "families":
-        count = args.count if args.count is not None else 4
-        if count < 1:
-            raise UsageError("--count must be >= 1")
-        return {fam: [_coeff_list(r) for r in roots]
-                for fam, roots in _family_root_lists(g, count).items()}
+        if args.action == "sequences":
+            gams, etas = _gamma_eta_lists(a, b, count - 1)
+            lists, put = {"gamma": gams, "eta": etas}, str
+            if a == b:
+                lists["b_seq"] = _b_seq_list(a, count)
+        else:
+            lists, put = _family_root_lists(g, count), _coeff_list
+        try:
+            return {name: [put(v) for v in vs] for name, vs in lists.items()}
+        except ValueError:
+            # str(int) refuses a term longer than the interpreter's digit
+            # limit (Python 3.11 and later): a resource limit, not a usage error
+            has_limit = hasattr(sys, "get_int_max_str_digits")
+            limit = sys.get_int_max_str_digits() if has_limit else None
+            raise ResourceCap(
+                f"a term has more than {limit} digits, the limit of int-to-string "
+                f"conversion; use a smaller --count",
+                count=count, digits_limit=limit,
+            ) from None
     # classify and triple both need the slice coordinates
     if not (args.word and args.tau and args.degree is not None):
         raise UsageError(f"rank2 {args.action} needs --word, --tau and -d")

@@ -710,7 +710,7 @@ def exp_ad(alg: TruncatedAlgebra, x: AlgElement, y: AlgElement, t) -> AlgElement
     uniformly).  If the series reaches the height bound before provably
     terminating, TruncationAmbiguous is raised.  t is an int or a Fraction.
     """
-    t = Fraction(_exact(t))
+    t = _exact(t)
     if x.is_zero() or t == 0:
         return y
     where = _single_degree(x)
@@ -729,7 +729,7 @@ def exp_ad(alg: TruncatedAlgebra, x: AlgElement, y: AlgElement, t) -> AlgElement
             )
         if nxt.is_zero():
             return out
-        term = (t / k) * nxt
+        term = (_rational(t, k) if type(t) is int else t / k) * nxt
         out = out + term
         k += 1
         if k > limit:
@@ -872,10 +872,8 @@ def companion_vector(alg: TruncatedAlgebra, beta: RootVec, vec: AlgElement) -> A
     target = coroot_coords(g, beta)
     lam = None
     for i in range(g.n):
-        have = br.terms.get(("h", i + 1), Fraction(0))
-        want = Fraction(target[i])
-        if want:
-            lam = have / want
+        if target[i]:
+            lam = _rational(br.terms.get(("h", i + 1), 0), target[i])
             break
     if lam is None or lam == 0:
         raise InternalInconsistency(
@@ -883,10 +881,9 @@ def companion_vector(alg: TruncatedAlgebra, beta: RootVec, vec: AlgElement) -> A
             beta=list(beta.coeffs),
         )
     for i in range(g.n):
-        have = br.terms.get(("h", i + 1), Fraction(0))
-        if have != lam * Fraction(target[i]):
+        if br.terms.get(("h", i + 1), 0) != lam * target[i]:
             raise InternalInconsistency(
                 "bracket with the mirrored vector is not proportional to the coroot",
                 beta=list(beta.coeffs),
             )
-    return Fraction(1, 1) / lam * comp
+    return _rational(1, lam) * comp

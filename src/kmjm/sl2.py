@@ -135,9 +135,9 @@ def realize_triple(triple: SL2Triple, alg: TruncatedAlgebra) -> RealizedTriple:
     pairs = _member_vectors(triple, alg)
     e = alg.zero()
     f = alg.zero()
-    for k, (ep, em) in enumerate(pairs):
-        e = e + triple.coeffs[k] * ep
-        f = f + triple.f_coeffs[k] * em
+    for c, fc, (ep, em) in zip(triple.coeffs, triple.f_coeffs, pairs):
+        e = e + c * ep
+        f = f + fc * em
     return RealizedTriple(e=e, h=alg.cartan(triple.h_coords), f=f)
 
 

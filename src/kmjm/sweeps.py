@@ -6,12 +6,23 @@ is the pass verdict; suites never stop at the first hit, so a report always
 describes the whole grid.  The suites import ``rank2``, ``realize`` and
 ``sl2`` where they use them, so ``symprop`` and ``reg-grade`` load none of
 the three and ``permissable`` only ``rank2``.
+
+Random instances repeat: at the default seed the 500 instances of
+``reg-grade`` and ``regdomthm`` hold 170 distinct (matrix, slice) pairs.  So
+each distinct slice is checked once per suite call (its pi-system, and in
+``regdomthm`` its grading element and symbolic check), and each distinct
+(matrix, slice, weights) triple is realized once.  ``regdomthm`` realizes
+its triples one matrix at a time, after the symbolic pass, in an algebra
+local to that step, so it never holds every algebra at once.  The memos are
+local to the call.  ``cases`` still counts instances, and every instance
+gets its own failure record, in instance order.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -279,33 +290,39 @@ def _random_reduced_word(g: GCM, rng: random.Random, max_len: int, max_height: i
     return tuple(letters), inversions
 
 
-@lru_cache(maxsize=4)
-def criterion_instances(config: SweepConfig = SweepConfig()):
-    """The seeded random instance set: (GCM, reduced word, regular-dominant
-    coweight, realized degree).  The degree is always realized by the slice,
-    so every instance has a nonempty Phi_w^d."""
+def _instance_slices(config: SweepConfig):
+    """Yield each instance of criterion_instances(config) with its slice,
+    the list inst.slice_roots() returns, from the same rng draws.  The slice
+    is cut from the inversions the word growth accepted, so no inversion set
+    is computed again."""
     rng = random.Random(config.seed)
-    out = []
     for idx in range(config.instances):
         matrix = _POOL[rng.randrange(len(_POOL))]
         g = _gcm(matrix)
         word, inversions = _random_reduced_word(g, rng, MAX_WORD, MAX_ROOT_HEIGHT)
         tau = tuple(rng.randint(1, MAX_TAU) for _ in range(g.n))
         tcw = Coweight(tau)
-        grades = sorted({d for d in (grade_of(bb, tcw) for bb in inversions) if d <= MAX_D})
+        grades = [grade_of(bb, tcw) for bb in inversions]
         # the first letter contributes a simple root of grade <= MAX_TAU,
         # so there is always a realized degree within bounds
-        d = rng.choice(grades)
-        out.append(SweepInstance(idx, matrix, word, tau, d))
-    return tuple(out)
+        d = rng.choice(sorted({x for x in grades if x <= MAX_D}))
+        # phi_w_d's order: inversion order, then sorted by (height, lex)
+        roots = sorted(bb for bb, x in zip(inversions, grades) if x == d)
+        yield SweepInstance(idx, matrix, word, tau, d), roots
 
 
-def _check_triple(matrix, roots, coeffs, height: int, cap) -> str | None:
-    """The problem with the sl2-triple of weights coeffs on the pi-system of
-    roots, or None.  The triple is built and checked on root data, then
-    realized in the matrix's algebra of the given height when every root
-    fits it."""
-    from .sl2 import build_triple, verify_realized, verify_symbolic
+@lru_cache(maxsize=4)
+def criterion_instances(config: SweepConfig = SweepConfig()):
+    """The seeded random instance set: (GCM, reduced word, regular-dominant
+    coweight, realized degree).  The degree is always realized by the slice,
+    so every instance has a nonempty Phi_w^d."""
+    return tuple(inst for inst, _ in _instance_slices(config))
+
+
+def _symbolic_triple(matrix, roots, coeffs):
+    """The sl2-triple of weights coeffs on the pi-system of roots, built and
+    checked on root data, or the problem with it (a str)."""
+    from .sl2 import build_triple, verify_symbolic
 
     try:
         triple = build_triple(make_pi_system(_gcm(matrix), roots), coeffs)
@@ -313,9 +330,13 @@ def _check_triple(matrix, roots, coeffs, height: int, cap) -> str | None:
         return f"triple construction failed: {err}"
     if not verify_symbolic(triple):
         return "symbolic relations failed"
-    if max(bb.height for bb in roots) > height:
-        return None
-    alg = _algebra(matrix, height, cap)
+    return triple
+
+
+def _realized_problem(alg, triple) -> str | None:
+    """The problem with the triple realized in the algebra, or None."""
+    from .sl2 import verify_realized
+
     try:
         ok = verify_realized(triple, alg)
     except KmjmError as err:
@@ -323,43 +344,95 @@ def _check_triple(matrix, roots, coeffs, height: int, cap) -> str | None:
     return None if ok else "realized relations failed"
 
 
+def _check_triple(matrix, roots, coeffs, height: int, cap) -> str | None:
+    """The problem with the sl2-triple of weights coeffs on the pi-system of
+    roots, or None.  The triple is built and checked on root data, then
+    realized in the matrix's algebra of the given height when every root
+    fits it."""
+    triple = _symbolic_triple(matrix, roots, coeffs)
+    if isinstance(triple, str):
+        return triple
+    if max(bb.height for bb in roots) > height:
+        return None
+    return _realized_problem(_algebra(matrix, height, cap), triple)
+
+
 # ---------------------------------------------------------------------------
 # suite: reg-grade — every random slice is a finite-type pi-system
 
+def _pi_system_problem(matrix, roots) -> str | None:
+    """Why the slice is not a finite-type pi-system with a nonsingular
+    induced matrix, or None."""
+    try:
+        sigma = make_pi_system(_gcm(matrix), roots)
+    except KmjmError as err:
+        return f"pi-system rejected: {err}"
+    tag = classify_pi_type(sigma)
+    if tag.kind != FINITE:
+        return f"induced type is {tag.kind}"
+    span, _ = _span_of([dict(enumerate(row)) for row in sigma.b_matrix])
+    if len(span) < len(sigma.b_matrix):
+        return "induced matrix is singular"
+    return None
+
+
 def run_reg_grade(config: SweepConfig = SweepConfig()) -> SuiteReport:
-    insts = criterion_instances(config)
+    cases = 0
     failures = []
-    for inst in insts:
-        rec = inst.describe()
-        try:
-            sigma = make_pi_system(_gcm(inst.matrix), inst.slice_roots())
-        except KmjmError as err:
-            failures.append({**rec, "problem": f"pi-system rejected: {err}"})
-            continue
-        tag = classify_pi_type(sigma)
-        if tag.kind != FINITE:
-            failures.append({**rec, "problem": f"induced type is {tag.kind}"})
-            continue
-        span, _ = _span_of([dict(enumerate(row)) for row in sigma.b_matrix])
-        if len(span) < len(sigma.b_matrix):
-            failures.append({**rec, "problem": "induced matrix is singular"})
-    return SuiteReport("reg-grade", config.seed, len(insts), tuple(failures))
+    checked = {}  # (matrix, *slice) -> its problem, or None
+    for inst, roots in _instance_slices(config):
+        cases += 1
+        key = (inst.matrix, *roots)
+        if key not in checked:
+            checked[key] = _pi_system_problem(inst.matrix, roots)
+        if checked[key]:
+            failures.append({**inst.describe(), "problem": checked[key]})
+    return SuiteReport("reg-grade", config.seed, cases, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
 # suite: regdomthm — every random slice extends to an sl2-triple
 
 def run_regdomthm(config: SweepConfig = SweepConfig()) -> SuiteReport:
-    insts = criterion_instances(config)
-    failures = []
-    for inst in insts:
-        roots = inst.slice_roots()
+    from .realize import truncated_on_demand
+    from .sl2 import SL2Triple
+
+    built = {}  # (matrix, *slice) -> its weight-one triple, or its problem
+    todo = {}  # matrix -> {((matrix, *slice), weights): the triple to realize}
+    records = []  # (instance, weights, its problem or its key in todo)
+    for inst, roots in _instance_slices(config):
         rng = random.Random(config.seed * 1_000_003 + inst.index)
         coeffs = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in roots)
-        problem = _check_triple(inst.matrix, roots, coeffs, REALIZE_HEIGHT_CUTOFF, config.cap)
+        key = (inst.matrix, *roots)
+        if key not in built:
+            built[key] = _symbolic_triple(inst.matrix, roots, None)
+        verdict = built[key]
+        if isinstance(verdict, str):
+            pass
+        elif max(bb.height for bb in roots) > REALIZE_HEIGHT_CUTOFF:
+            verdict = None
+        else:
+            group = todo.setdefault(inst.matrix, {})
+            if (key, coeffs) not in group:
+                # the weights enter e and f only: mu and h are the slice's
+                group[key, coeffs] = SL2Triple(verdict.sigma, tuple(map(Fraction, coeffs)),
+                                               verdict.mu, verdict.h_coords)
+            verdict = (key, coeffs)
+        records.append((inst, coeffs, verdict))
+    # one matrix at a time, each in an algebra of its own: the suite never
+    # holds them all
+    realized = {}
+    for matrix, group in todo.items():
+        alg = truncated_on_demand(_gcm(matrix), REALIZE_HEIGHT_CUTOFF, cap=config.cap)
+        for rkey, triple in group.items():
+            realized[rkey] = _realized_problem(alg, triple)
+        del alg  # gone before the next one is built
+    failures = []
+    for inst, coeffs, verdict in records:
+        problem = realized.get(verdict, verdict)  # a str or None stands for itself
         if problem:
             failures.append({**inst.describe(), "coeffs": list(coeffs), "problem": problem})
-    return SuiteReport("regdomthm", config.seed, len(insts), tuple(failures))
+    return SuiteReport("regdomthm", config.seed, len(records), tuple(failures))
 
 
 # ---------------------------------------------------------------------------

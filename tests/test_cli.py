@@ -171,6 +171,25 @@ def test_rank2_families(capsys):
     assert data["SU"] == [[0, 1], [1, 4]]
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on int-to-string conversion before Python 3.11")
+@pytest.mark.parametrize("action", ["sequences", "families"])
+def test_rank2_term_past_the_digit_limit_is_a_resource_cap(capsys, action):
+    # at a = b = 3 the smallest limit Python allows, 640 digits, is passed
+    # between terms 750 and 800, as the default 4300 is past term ~5150
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "rank2", "--a", "3", "--b", "3", action, "--count", "1000")
+        assert run(capsys, "rank2", "--a", "3", "--b", "3", action, "--count", "750")[0] == 0
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 1 and out == ""
+    payload = json.loads(err.splitlines()[-1])
+    assert payload["error"] == "resource_cap"
+    assert payload["context"] == {"count": 1000, "digits_limit": 640}
+
+
 def test_rank2_classify_and_triple(capsys):
     code, out, _ = run(
         capsys, "rank2", "--a", "5", "--b", "1", "classify",

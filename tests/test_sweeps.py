@@ -1,12 +1,15 @@
 import hashlib
 import random
+import weakref
 from collections import Counter
-from functools import lru_cache
 
 import pytest
 
-from kmjm import NotReduced, WeylWord, simple_root
-from kmjm import sweeps
+from kmjm import KmjmError, NotPiSystem, NotReduced, WeylWord, simple_root
+from kmjm import sl2, sweeps
+from kmjm._linalg import _span_of
+from kmjm.gcm import FINITE
+from kmjm.pisystem import classify_pi_type
 from kmjm.sweeps import (
     _POOL,
     SUITES,
@@ -170,10 +173,9 @@ def test_reg_grade_makes_no_table(peterson_calls):
     assert peterson_calls == []
 
 
-def test_regdomthm_builds_one_table_per_matrix(monkeypatch, peterson_calls):
+def test_regdomthm_builds_one_table_per_matrix(peterson_calls):
     # the pi-systems need no table; each algebra makes one, for its matrix
     # at the realization height, once
-    monkeypatch.setattr(sweeps, "_algebra", lru_cache(maxsize=None)(sweeps._algebra.__wrapped__))
     config = SweepConfig()
     assert SUITES["regdomthm"](config).ok
     realized = {
@@ -193,3 +195,199 @@ def test_triple_check_names_the_failing_step():
     # alpha_1 + alpha_2 minus alpha_1 is a root: no pi-system
     problem = sweeps._check_triple(m, [a1, a1 + a2], None, 2, None)
     assert problem.startswith("triple construction failed: ")
+
+
+def test_instance_slices_match_the_instances():
+    # one pass of the rng draws gives the cached instances and their slices
+    for config in (SweepConfig(), SweepConfig(seed=7, instances=200)):
+        pairs = list(sweeps._instance_slices(config))
+        assert tuple(inst for inst, _ in pairs) == criterion_instances(config)
+        assert all(roots == inst.slice_roots() for inst, roots in pairs)
+
+
+# Reference loops: every instance checked on its own, as the suites did
+# before they checked each distinct slice once.  They call make_pi_system,
+# build_triple, verify_symbolic and verify_realized through the modules the
+# suites read them from, so a monkeypatched failure reaches both sides.
+
+def _reference_reg_grade(config):
+    insts = criterion_instances(config)
+    failures = []
+    for inst in insts:
+        rec = inst.describe()
+        try:
+            sigma = sweeps.make_pi_system(_gcm(inst.matrix), inst.slice_roots())
+        except KmjmError as err:
+            failures.append({**rec, "problem": f"pi-system rejected: {err}"})
+            continue
+        tag = classify_pi_type(sigma)
+        if tag.kind != FINITE:
+            failures.append({**rec, "problem": f"induced type is {tag.kind}"})
+            continue
+        span, _ = _span_of([dict(enumerate(row)) for row in sigma.b_matrix])
+        if len(span) < len(sigma.b_matrix):
+            failures.append({**rec, "problem": "induced matrix is singular"})
+    return SuiteReport("reg-grade", config.seed, len(insts), tuple(failures)).as_dict()
+
+
+def _reference_check_triple(matrix, roots, coeffs, height, cap):
+    try:
+        triple = sl2.build_triple(sweeps.make_pi_system(_gcm(matrix), roots), coeffs)
+    except KmjmError as err:
+        return f"triple construction failed: {err}"
+    if not sl2.verify_symbolic(triple):
+        return "symbolic relations failed"
+    if max(bb.height for bb in roots) > height:
+        return None
+    alg = sweeps._algebra(matrix, height, cap)
+    try:
+        ok = sl2.verify_realized(triple, alg)
+    except KmjmError as err:
+        return f"realization failed: {err}"
+    return None if ok else "realized relations failed"
+
+
+def _weights(config, inst, roots):
+    rng = random.Random(config.seed * 1_000_003 + inst.index)
+    return tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in roots)
+
+
+def _reference_regdomthm(config):
+    insts = criterion_instances(config)
+    failures = []
+    for inst in insts:
+        roots = inst.slice_roots()
+        coeffs = _weights(config, inst, roots)
+        problem = _reference_check_triple(inst.matrix, roots, coeffs,
+                                          sweeps.REALIZE_HEIGHT_CUTOFF, config.cap)
+        if problem:
+            failures.append({**inst.describe(), "coeffs": list(coeffs), "problem": problem})
+    return SuiteReport("regdomthm", config.seed, len(insts), tuple(failures)).as_dict()
+
+
+def _realized_draws(config):
+    # (matrix, slice, weights) of every instance whose slice is realized
+    out = []
+    for inst in criterion_instances(config):
+        roots = inst.slice_roots()
+        if max(bb.height for bb in roots) <= sweeps.REALIZE_HEIGHT_CUTOFF:
+            out.append((inst.matrix, tuple(roots), _weights(config, inst, roots)))
+    return out
+
+
+def _shared_slice(config):
+    """A (matrix, slice) whose slice also occurs under another matrix, and
+    which is realized under more than one weight tuple: a memo that dropped
+    the matrix or the weights from its key would misreport it."""
+    draws = _realized_draws(config)
+    weights, matrices = {}, {}
+    for matrix, roots, coeffs in draws:
+        weights.setdefault((matrix, roots), set()).add(coeffs)
+        matrices.setdefault(tuple(bb.coeffs for bb in roots), set()).add(matrix)
+    for (matrix, roots), ws in weights.items():
+        if len(ws) > 1 and len(matrices[tuple(bb.coeffs for bb in roots)]) > 1:
+            return matrix, roots, sorted(ws)
+    raise AssertionError("no slice is shared")
+
+
+def _fail_pi_system_on(monkeypatch, matrix, roots):
+    real = sweeps.make_pi_system
+
+    def patched(g, members, table=None):
+        if g.entries == _gcm(matrix).entries and tuple(members) == roots:
+            raise NotPiSystem("injected rejection", members=len(members))
+        return real(g, members, table)
+
+    monkeypatch.setattr(sweeps, "make_pi_system", patched)
+
+
+@pytest.mark.parametrize("config", [SweepConfig(), SweepConfig(seed=7, instances=200)])
+def test_reg_grade_dedup_matches_per_instance_loop(monkeypatch, config):
+    matrix, roots, _ = _shared_slice(config)
+    _fail_pi_system_on(monkeypatch, matrix, roots)
+    ours = SUITES["reg-grade"](config).as_dict()
+    assert ours == _reference_reg_grade(config)
+    assert ours["cases"] == config.instances
+    assert len(ours["failures"]) > 1
+    assert [f["instance"] for f in ours["failures"]] == sorted(
+        f["instance"] for f in ours["failures"])
+
+
+@pytest.mark.parametrize("config", [SweepConfig(), SweepConfig(seed=7, instances=200)])
+def test_regdomthm_dedup_matches_per_instance_loop(monkeypatch, config):
+    matrix, roots, ws = _shared_slice(config)
+    # a triple that is never built, on another matrix
+    _fail_pi_system_on(monkeypatch, *next(
+        (m, r) for m, r, _ in _realized_draws(config) if m != matrix))
+    real = sl2.verify_realized
+    bad, raising = ws[0], ws[1]
+
+    def patched(triple, alg):
+        coeffs = tuple(triple.coeffs)
+        if tuple(triple.sigma.roots) == roots and alg.gcm.entries == _gcm(matrix).entries:
+            if coeffs == bad:
+                return False
+            if coeffs == raising:
+                raise KmjmError("injected realization failure")
+        return real(triple, alg)
+
+    monkeypatch.setattr(sl2, "verify_realized", patched)
+    ours = SUITES["regdomthm"](config).as_dict()
+    assert ours == _reference_regdomthm(config)
+    assert ours["cases"] == config.instances
+    problems = Counter(f["problem"] for f in ours["failures"])
+    assert problems["realized relations failed"] >= 1
+    assert problems["realization failed: injected realization failure"] >= 1
+    assert any(p.startswith("triple construction failed: ") for p in problems)
+    assert [f["instance"] for f in ours["failures"]] == sorted(
+        f["instance"] for f in ours["failures"])
+
+
+def test_each_distinct_slice_is_checked_once(monkeypatch):
+    # at the default seed the 500 instances hold 170 distinct (matrix, slice)
+    # pairs; 484 instances are realized, under 354 distinct weight tuples
+    config = SweepConfig()
+    made, realized = [], []
+    real_make, real_verify = sweeps.make_pi_system, sl2.verify_realized
+
+    def spy_make(g, roots, table=None):
+        made.append((g.entries, tuple(roots)))
+        return real_make(g, roots, table)
+
+    def spy_verify(triple, alg):
+        realized.append((alg.gcm.entries, tuple(triple.sigma.roots), triple.coeffs))
+        return real_verify(triple, alg)
+
+    monkeypatch.setattr(sweeps, "make_pi_system", spy_make)
+    monkeypatch.setattr(sl2, "verify_realized", spy_verify)
+    assert SUITES["reg-grade"](config).ok
+    assert len(made) == len(set(made)) == 170
+    made.clear()
+    assert SUITES["regdomthm"](config).ok
+    assert len(made) == len(set(made)) == 170
+    assert len(realized) == len(set(realized)) == 354
+    assert len(_realized_draws(config)) == 484
+
+
+def test_regdomthm_holds_one_algebra_at_a_time(monkeypatch):
+    # the suite realizes one matrix's triples at a time, each in an algebra of
+    # its own that is gone before the next one is built, and it leaves the
+    # module's algebra cache alone: no algebra outlives the suite call
+    import kmjm.realize as realize
+
+    built, real = [], realize.truncated_on_demand
+
+    def spy(g, height, **kw):
+        assert all(ref() is None for ref in built)
+        alg = real(g, height, **kw)
+        built.append(weakref.ref(alg))
+        return alg
+
+    def no_cache(*args):
+        raise AssertionError("regdomthm read the module's algebra cache")
+
+    monkeypatch.setattr(realize, "truncated_on_demand", spy)
+    monkeypatch.setattr(sweeps, "_algebra", no_cache)
+    assert SUITES["regdomthm"](SweepConfig()).ok
+    assert len(built) == len({m for m, _, _ in _realized_draws(SweepConfig())})
+    assert all(ref() is None for ref in built)
