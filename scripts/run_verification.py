@@ -7,6 +7,9 @@ doubles as a CI gate:
     python3 scripts/run_verification.py
     python3 scripts/run_verification.py --suite symprop --suite regdomthm
     python3 scripts/run_verification.py --seed 7 --instances 100
+
+A suite that stops on a library error (say, an algebra over --cap) prints
+{"suite": ..., "error": {...}} in place of its report and counts as failing.
 """
 
 import argparse
@@ -14,6 +17,7 @@ import json
 import sys
 import time
 
+from kmjm.errors import KmjmError
 from kmjm.realize import resolve_cap
 from kmjm.sweeps import SUITES, SweepConfig
 
@@ -44,7 +48,12 @@ def main(argv=None) -> int:
     bad = 0
     for name in names:
         t0 = time.perf_counter()
-        report = SUITES[name](config)
+        try:
+            report = SUITES[name](config)
+        except KmjmError as err:
+            print(json.dumps({"suite": name, "error": err.as_dict()}))
+            bad += 1
+            continue
         elapsed = time.perf_counter() - t0
         line = report.as_dict()
         line["seconds"] = round(elapsed, 3)

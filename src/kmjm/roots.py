@@ -45,6 +45,7 @@ from math import gcd, lcm
 from operator import mul
 
 from . import gcm as gcm_mod
+from ._linalg import _rational
 from .errors import (
     DegenerateDenominator,
     HeightOutOfRange,
@@ -361,11 +362,12 @@ def coroot_pairing(g: GCM, beta: RootVec, gamma: RootVec) -> Fraction:
     return Fraction(2 * bilinear_form(g, gamma, beta), nb)
 
 
-def coroot_coords(g: GCM, beta: RootVec) -> tuple[Fraction, ...]:
-    """Coordinates of beta^vee over the simple coroots: 2 d_i beta_i / (beta|beta)."""
+def coroot_coords(g: GCM, beta: RootVec) -> tuple:
+    """Coordinates of beta^vee over the simple coroots: 2 d_i beta_i / (beta|beta),
+    each an int when it is integral, else a Fraction."""
     nb = norm(g, beta)
     if nb <= 0:
         raise NotRealRoot(
             f"coroot of a non-positive-norm vector {list(beta.coeffs)}", beta=list(beta.coeffs)
         )
-    return tuple(Fraction(2 * g.symmetrizer[i] * beta.coeffs[i], nb) for i in range(g.n))
+    return tuple(_rational(2 * g.symmetrizer[i] * beta.coeffs[i], nb) for i in range(g.n))

@@ -13,9 +13,7 @@ window, straight from the graded basis of its root space.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from ._linalg import _span_of
+from ._linalg import _rational, _span_of
 from .errors import HeightOutOfRange, SingularB, ZeroElement
 from .lattice import Value
 from .pisystem import PiSystem
@@ -40,9 +38,10 @@ __all__ = [
 ]
 
 
-def solve_mu(b_entries) -> tuple[Fraction, ...]:
+def solve_mu(b_entries) -> tuple:
     """Solve B^T mu = (2, ..., 2), that is sum_k mu_k B[k] = (2, ..., 2) over
-    the rows of B; raises SingularB when B is singular."""
+    the rows of B, each mu_k an int when it is integral, else a Fraction;
+    raises SingularB when B is singular."""
     m = len(b_entries)
     span, _ = _span_of([dict(enumerate(row)) for row in b_entries])
     if len(span) < m:
@@ -51,19 +50,19 @@ def solve_mu(b_entries) -> tuple[Fraction, ...]:
             b=[list(r) for r in b_entries],
         )
     mu = span.solve(dict.fromkeys(range(m), 2))
-    return tuple(Fraction(mu.get(k, 0)) for k in range(m))
+    return tuple(_exact(mu.get(k, 0)) for k in range(m))
 
 
 class SL2Triple(Value):
     __slots__ = ("sigma", "coeffs", "mu", "h_coords")
 
-    def __init__(self, sigma: PiSystem, coeffs: tuple[Fraction, ...],
-                 mu: tuple[Fraction, ...], h_coords: tuple[Fraction, ...]):
+    # every entry is an int when it is integral, else a Fraction
+    def __init__(self, sigma: PiSystem, coeffs: tuple, mu: tuple, h_coords: tuple):
         self._init(sigma, coeffs, mu, h_coords)  # h_coords: over the simple coroots
 
     @property
-    def f_coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(m / c for m, c in zip(self.mu, self.coeffs))
+    def f_coeffs(self) -> tuple:
+        return tuple(_rational(m, c) for m, c in zip(self.mu, self.coeffs))
 
 
 class RealizedTriple(Value):
@@ -77,9 +76,9 @@ def build_triple(sigma: PiSystem, coeffs=None) -> SL2Triple:
     # the weights are ints or Fractions (all 1 when not given)
     m = sigma.size
     if coeffs is None:
-        cs = tuple(Fraction(1) for _ in range(m))
+        cs = (1,) * m
     else:
-        cs = tuple(Fraction(_exact(c)) for c in coeffs)
+        cs = tuple(_exact(c) for c in coeffs)
         if len(cs) != m:
             raise ValueError(f"need {m} weights, got {len(cs)}")
         for k, c in enumerate(cs):
@@ -90,12 +89,12 @@ def build_triple(sigma: PiSystem, coeffs=None) -> SL2Triple:
                 )
     mu = solve_mu(sigma.b_matrix)
     g = sigma.gcm
-    h = [Fraction(0)] * g.n
+    h = [0] * g.n
     for k, b in enumerate(sigma.roots):
         cc = coroot_coords(g, b)
         for i in range(g.n):
             h[i] += mu[k] * cc[i]
-    return SL2Triple(sigma=sigma, coeffs=cs, mu=mu, h_coords=tuple(h))
+    return SL2Triple(sigma=sigma, coeffs=cs, mu=mu, h_coords=tuple(map(_exact, h)))
 
 
 def verify_symbolic(triple: SL2Triple) -> bool:

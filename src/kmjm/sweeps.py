@@ -11,18 +11,21 @@ Random instances repeat: at the default seed the 500 instances of
 ``reg-grade`` and ``regdomthm`` hold 170 distinct (matrix, slice) pairs.  So
 each distinct slice is checked once per suite call (its pi-system, and in
 ``regdomthm`` its grading element and symbolic check), and each distinct
-(matrix, slice, weights) triple is realized once.  ``regdomthm`` realizes
-its triples one matrix at a time, after the symbolic pass, in an algebra
-local to that step, so it never holds every algebra at once.  The memos are
-local to the call.  ``cases`` still counts instances, and every instance
-gets its own failure record, in instance order.
+(matrix, slice, weights) triple is realized once.  ``cases`` still counts
+instances, and every instance gets its own failure record, in instance
+order.
+
+Every suite realizes in algebras local to its own call, one at a time:
+``regdomthm`` one matrix's triples after the symbolic pass, and
+``rank2-theorem`` one (a, b) pair's grid.  Each algebra is dropped before the
+next is built, so no suite keeps an algebra after its call.  The suites'
+memos are local to the call too.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -96,16 +99,6 @@ class SuiteReport(Value):
 @lru_cache(maxsize=None)
 def _gcm(matrix) -> GCM:
     return validate_gcm([list(row) for row in matrix])
-
-
-@lru_cache(maxsize=64)
-def _algebra(matrix, height: int, cap=None):
-    # a suite touches few degrees of each algebra; those are built on first
-    # use, over the algebra's own Peterson table.  Pi-systems need no table:
-    # make_pi_system decides membership by descent
-    from .realize import truncated_on_demand
-
-    return truncated_on_demand(_gcm(matrix), height, cap=cap)
 
 
 def _rank2_matrix(a: int, b: int):
@@ -344,19 +337,6 @@ def _realized_problem(alg, triple) -> str | None:
     return None if ok else "realized relations failed"
 
 
-def _check_triple(matrix, roots, coeffs, height: int, cap) -> str | None:
-    """The problem with the sl2-triple of weights coeffs on the pi-system of
-    roots, or None.  The triple is built and checked on root data, then
-    realized in the matrix's algebra of the given height when every root
-    fits it."""
-    triple = _symbolic_triple(matrix, roots, coeffs)
-    if isinstance(triple, str):
-        return triple
-    if max(bb.height for bb in roots) > height:
-        return None
-    return _realized_problem(_algebra(matrix, height, cap), triple)
-
-
 # ---------------------------------------------------------------------------
 # suite: reg-grade — every random slice is a finite-type pi-system
 
@@ -415,8 +395,8 @@ def run_regdomthm(config: SweepConfig = SweepConfig()) -> SuiteReport:
             group = todo.setdefault(inst.matrix, {})
             if (key, coeffs) not in group:
                 # the weights enter e and f only: mu and h are the slice's
-                group[key, coeffs] = SL2Triple(verdict.sigma, tuple(map(Fraction, coeffs)),
-                                               verdict.mu, verdict.h_coords)
+                group[key, coeffs] = SL2Triple(verdict.sigma, coeffs, verdict.mu,
+                                               verdict.h_coords)
             verdict = (key, coeffs)
         records.append((inst, coeffs, verdict))
     # one matrix at a time, each in an algebra of its own: the suite never
@@ -456,68 +436,66 @@ def _check_pair(g, alg, verdict, x, y) -> str | None:
 
 def run_rank2_theorem(config: SweepConfig = SweepConfig()) -> SuiteReport:
     from .rank2 import classify_intersection
+    from .realize import truncated_on_demand
 
     cases = 0
     failures = []
-    checked: dict = {}  # (matrix, root or verdict) -> its problem, or None
-    for a, b, g, word, tau, _, counts in _rank2_grid(_PERMISSABLE_AB, MAX_TAU, 6):
+    pinned = []  # the pinned grid's failures, reported after the sweep's
+    for a, b in _PERMISSABLE_AB:
         matrix = _rank2_matrix(a, b)
-        for d in range(1, 13):
-            if not counts.get(d, 0):
-                continue
-            cases += 1
-            rec = {"a": a, "b": b, "word": list(word.letters), "tau": list(tau.values), "d": d}
-            try:
-                verdict = classify_intersection(g, word, tau, d)
-            except KmjmError as err:
-                failures.append({**rec, "problem": f"classification failed: {err}"})
-                continue
-            if verdict.kind == "Single":
-                beta = verdict.root
-                if beta.height > SYMBOLIC_HEIGHT_CUTOFF:
-                    # beyond the verification window at this scale
-                    continue
-                key = (matrix, beta.coeffs)
-                if key not in checked:
-                    checked[key] = _check_triple(matrix, [beta], None, MAX_ROOT_HEIGHT,
-                                                 config.cap)
-            else:
-                key = (matrix, verdict.kind, tuple(bb.coeffs for bb in verdict.roots))
-                if key not in checked:
-                    alg = _algebra(matrix, MAX_ROOT_HEIGHT, config.cap)
-                    checked[key] = _check_pair(g, alg, verdict, 1, 1)
-            if checked[key]:
-                failures.append({**rec, "problem": checked[key]})
-    # pinned exceptional grid: both repair cases, three coefficient pairs
-    for a in (5, 6):
-        matrix = _rank2_matrix(a, 1)
         g = _gcm(matrix)
-        alg = _algebra(matrix, MAX_ROOT_HEIGHT, config.cap)
-        for word, d in (((1, 2), 1), ((2, 1, 2), 1)):
-            verdict = classify_intersection(g, WeylWord.of(word), Coweight((1, 0)), d)
-            for x, y in _PINNED_XY:
+        alg = truncated_on_demand(g, MAX_ROOT_HEIGHT, cap=config.cap)
+        checked = {}  # root or verdict -> its problem, or None
+        for _, _, _, word, tau, _, counts in _rank2_grid(((a, b),), MAX_TAU, 6):
+            for d in range(1, 13):
+                if not counts.get(d, 0):
+                    continue
                 cases += 1
-                problem = _check_pair(g, alg, verdict, x, y)
-                if problem:
-                    failures.append(
-                        {
-                            "a": a,
-                            "b": 1,
-                            "word": list(word),
-                            "tau": [1, 0],
-                            "d": d,
-                            "x": x,
-                            "y": y,
-                            "problem": problem,
-                        }
-                    )
-    return SuiteReport("rank2-theorem", config.seed, cases, tuple(failures))
+                rec = {"a": a, "b": b, "word": list(word.letters), "tau": list(tau.values), "d": d}
+                try:
+                    verdict = classify_intersection(g, word, tau, d)
+                except KmjmError as err:
+                    failures.append({**rec, "problem": f"classification failed: {err}"})
+                    continue
+                if verdict.kind == "Single":
+                    beta = verdict.root
+                    if beta.height > SYMBOLIC_HEIGHT_CUTOFF:
+                        # beyond the verification window at this scale
+                        continue
+                    key = beta.coeffs
+                    if key not in checked:
+                        triple = _symbolic_triple(matrix, [beta], None)
+                        if isinstance(triple, str):
+                            checked[key] = triple
+                        elif beta.height > MAX_ROOT_HEIGHT:
+                            checked[key] = None
+                        else:
+                            checked[key] = _realized_problem(alg, triple)
+                else:
+                    key = (verdict.kind, tuple(bb.coeffs for bb in verdict.roots))
+                    if key not in checked:
+                        checked[key] = _check_pair(g, alg, verdict, 1, 1)
+                if checked[key]:
+                    failures.append({**rec, "problem": checked[key]})
+        if (a, b) in ((5, 1), (6, 1)):
+            # pinned exceptional grid: both repair cases, three coefficient pairs
+            for word, d in (((1, 2), 1), ((2, 1, 2), 1)):
+                verdict = classify_intersection(g, WeylWord.of(word), Coweight((1, 0)), d)
+                for x, y in _PINNED_XY:
+                    cases += 1
+                    problem = _check_pair(g, alg, verdict, x, y)
+                    if problem:
+                        pinned.append({"a": a, "b": 1, "word": list(word), "tau": [1, 0],
+                                       "d": d, "x": x, "y": y, "problem": problem})
+        del alg  # gone before the next pair's algebra is built
+    return SuiteReport("rank2-theorem", config.seed, cases, tuple(failures + pinned))
 
 
 # ---------------------------------------------------------------------------
 # suite: affine-heisenberg — the counterexample where no repair exists
 
 def run_affine_heisenberg(config: SweepConfig = SweepConfig()) -> SuiteReport:
+    from .realize import truncated_on_demand
     from .sl2 import solve_mu
 
     matrix = _rank2_matrix(2, 2)
@@ -529,7 +507,7 @@ def run_affine_heisenberg(config: SweepConfig = SweepConfig()) -> SuiteReport:
         problems.append("solve_mu accepted the singular induced matrix")
     except SingularB:
         pass
-    alg = _algebra(matrix, 6, config.cap)
+    alg = truncated_on_demand(g, 6, cap=config.cap)
     e = alg.e(1) + alg.e(2)
     z = alg.bracket(e, alg.f(1) + alg.f(2))
     if z.is_zero():

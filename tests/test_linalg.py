@@ -172,7 +172,8 @@ def test_solve_mu_matches(b):
     else:
         got = solve_mu(b)
         assert got == tuple(ref)
-        assert all(type(x) is Fraction for x in got)
+        # an int when integral, else a Fraction
+        assert all(type(x) is (int if x.denominator == 1 else Fraction) for x in got)
 
 
 @example([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])

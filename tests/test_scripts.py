@@ -43,3 +43,19 @@ def test_zero_failure_count_is_valid(capsys):
     assert run_verification.main(["--suite", "affine-heisenberg", "--max-failures", "0"]) == 0
     line = json.loads(capsys.readouterr().out)
     assert line["failures"] == [] and "failures_truncated" not in line
+
+
+def test_library_error_is_one_failing_line(capsys):
+    # an algebra over the cap stops the suite: a structured line, no traceback
+    assert run_verification.main(["--suite", "rank2-theorem", "--suite", "affine-heisenberg",
+                                  "--cap", "50"]) == 1
+    first, second = map(json.loads, capsys.readouterr().out.splitlines())
+    assert first == {
+        "suite": "rank2-theorem",
+        "error": {
+            "error": "resource_cap",
+            "message": "estimated dimension 222 exceeds the cap 50",
+            "context": {"estimated": 222, "cap": 50},
+        },
+    }
+    assert second["suite"] == "affine-heisenberg" and second["failures"] == []

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import weakref
@@ -5,8 +6,8 @@ from collections import Counter
 
 import pytest
 
-from kmjm import KmjmError, NotPiSystem, NotReduced, WeylWord, simple_root
-from kmjm import sl2, sweeps
+from kmjm import Coweight, KmjmError, NotPiSystem, NotReduced, RootVec, WeylWord, simple_root
+from kmjm import rank2, realize, sl2, sweeps
 from kmjm._linalg import _span_of
 from kmjm.gcm import FINITE
 from kmjm.pisystem import classify_pi_type
@@ -159,13 +160,43 @@ def test_word_growth_matches_full_inversion_sets():
                 assert inversions == inversion_set(g, WeylWord.of(word))
 
 
-def test_algebra_keeps_one_table_per_matrix_and_height():
-    # each algebra carries its own Peterson table, cut at its own height
-    m = ((2, -3), (-3, 2))
-    alg = sweeps._algebra(m, 6)
-    assert sweeps._algebra(m, 6) is alg
-    assert alg.table.gcm == sweeps._gcm(m) and alg.table.height == 6
-    assert not hasattr(sweeps, "_oracle")
+def _spy_builds(monkeypatch):
+    """Weak references to the algebras truncated_on_demand builds from here
+    on, and the (matrix, table matrix, table height) of each; each build
+    asserts that every earlier one is gone."""
+    built, tables, real = [], [], realize.truncated_on_demand
+
+    def spy(g, height, **kw):
+        assert all(ref() is None for ref in built)
+        alg = real(g, height, **kw)
+        built.append(weakref.ref(alg))
+        tables.append((alg.gcm, alg.table.gcm, alg.table.height))
+        return alg
+
+    monkeypatch.setattr(realize, "truncated_on_demand", spy)
+    return built, tables
+
+
+def test_rank2_theorem_holds_one_algebra_at_a_time(monkeypatch):
+    # one algebra per (a, b) pair, gone before the next pair's is built; each
+    # carries its own Peterson table, cut at its own height
+    built, tables = _spy_builds(monkeypatch)
+    assert SUITES["rank2-theorem"](SweepConfig()).ok
+    assert len(built) == 6 and all(ref() is None for ref in built)
+    pairs = [_gcm(sweeps._rank2_matrix(a, b)) for a, b in sweeps._PERMISSABLE_AB]
+    assert tables == [(g, g, sweeps.MAX_ROOT_HEIGHT) for g in pairs]
+    assert not hasattr(sweeps, "_oracle") and not hasattr(sweeps, "_algebra")
+
+
+def test_no_algebra_outlives_the_suites():
+    # other tests may hold algebras of their own: only new ones count
+    kept = [o for o in gc.get_objects() if isinstance(o, realize.TruncatedAlgebra)]
+    for run in SUITES.values():
+        assert run(SweepConfig()).ok
+    gc.collect()
+    ids = {id(o) for o in kept}
+    assert [o for o in gc.get_objects()
+            if isinstance(o, realize.TruncatedAlgebra) and id(o) not in ids] == []
 
 
 def test_reg_grade_makes_no_table(peterson_calls):
@@ -190,11 +221,18 @@ def test_regdomthm_builds_one_table_per_matrix(peterson_calls):
 def test_triple_check_names_the_failing_step():
     m = ((2, -1), (-1, 2))
     a1, a2 = simple_root(2, 1), simple_root(2, 2)
-    assert sweeps._check_triple(m, [a1], None, 2, None) is None
-    assert sweeps._check_triple(m, [a1, a2], (2, -3), 2, None) is None
+    alg = realize.truncated_on_demand(_gcm(m), 2)
+    for roots, coeffs in (([a1], None), ([a1, a2], (2, -3))):
+        triple = sweeps._symbolic_triple(m, roots, coeffs)
+        assert isinstance(triple, sl2.SL2Triple)
+        assert sweeps._realized_problem(alg, triple) is None
     # alpha_1 + alpha_2 minus alpha_1 is a root: no pi-system
-    problem = sweeps._check_triple(m, [a1, a1 + a2], None, 2, None)
+    problem = sweeps._symbolic_triple(m, [a1, a1 + a2], None)
     assert problem.startswith("triple construction failed: ")
+    # a grading element that is not the triple's: the brackets fail
+    bad = sl2.SL2Triple(triple.sigma, triple.coeffs, triple.mu, (0, 0))
+    assert not sl2.verify_symbolic(bad)
+    assert sweeps._realized_problem(alg, bad) == "realized relations failed"
 
 
 def test_instance_slices_match_the_instances():
@@ -230,7 +268,8 @@ def _reference_reg_grade(config):
     return SuiteReport("reg-grade", config.seed, len(insts), tuple(failures)).as_dict()
 
 
-def _reference_check_triple(matrix, roots, coeffs, height, cap):
+def _reference_check_triple(matrix, roots, coeffs, height, cap, algebras):
+    # algebras: matrix -> its algebra, kept by the reference loop
     try:
         triple = sl2.build_triple(sweeps.make_pi_system(_gcm(matrix), roots), coeffs)
     except KmjmError as err:
@@ -239,9 +278,10 @@ def _reference_check_triple(matrix, roots, coeffs, height, cap):
         return "symbolic relations failed"
     if max(bb.height for bb in roots) > height:
         return None
-    alg = sweeps._algebra(matrix, height, cap)
+    if matrix not in algebras:
+        algebras[matrix] = realize.truncated_on_demand(_gcm(matrix), height, cap=cap)
     try:
-        ok = sl2.verify_realized(triple, alg)
+        ok = sl2.verify_realized(triple, algebras[matrix])
     except KmjmError as err:
         return f"realization failed: {err}"
     return None if ok else "realized relations failed"
@@ -255,14 +295,69 @@ def _weights(config, inst, roots):
 def _reference_regdomthm(config):
     insts = criterion_instances(config)
     failures = []
+    algebras = {}
     for inst in insts:
         roots = inst.slice_roots()
         coeffs = _weights(config, inst, roots)
         problem = _reference_check_triple(inst.matrix, roots, coeffs,
-                                          sweeps.REALIZE_HEIGHT_CUTOFF, config.cap)
+                                          sweeps.REALIZE_HEIGHT_CUTOFF, config.cap, algebras)
         if problem:
             failures.append({**inst.describe(), "coeffs": list(coeffs), "problem": problem})
     return SuiteReport("regdomthm", config.seed, len(insts), tuple(failures)).as_dict()
+
+
+def _reference_rank2_theorem(config):
+    # every case checked on its own: the whole grid, every pair's algebra
+    # alive throughout, then the pinned exceptional grid
+    cases, failures, algebras = 0, [], {}
+
+    def pair_problem(matrix, verdict, x, y):
+        g = _gcm(matrix)
+        if matrix not in algebras:
+            algebras[matrix] = realize.truncated_on_demand(g, sweeps.MAX_ROOT_HEIGHT,
+                                                           cap=config.cap)
+        try:
+            t = rank2.build_exceptional_triple(g, verdict, x, y, algebras[matrix])
+            if not sl2.verify_triple_elements(algebras[matrix], t):
+                return "realized relations failed"
+        except KmjmError as err:
+            return f"{type(err).__name__}: {err}"
+        return None
+
+    for a, b, g, word, tau, _, counts in sweeps._rank2_grid(sweeps._PERMISSABLE_AB,
+                                                           sweeps.MAX_TAU, 6):
+        matrix = sweeps._rank2_matrix(a, b)
+        for d in range(1, 13):
+            if not counts.get(d, 0):
+                continue
+            cases += 1
+            rec = {"a": a, "b": b, "word": list(word.letters), "tau": list(tau.values), "d": d}
+            try:
+                verdict = rank2.classify_intersection(g, word, tau, d)
+            except KmjmError as err:
+                failures.append({**rec, "problem": f"classification failed: {err}"})
+                continue
+            if verdict.kind != "Single":
+                problem = pair_problem(matrix, verdict, 1, 1)
+            elif verdict.root.height > sweeps.SYMBOLIC_HEIGHT_CUTOFF:
+                continue
+            else:
+                problem = _reference_check_triple(matrix, [verdict.root], None,
+                                                  sweeps.MAX_ROOT_HEIGHT, config.cap, algebras)
+            if problem:
+                failures.append({**rec, "problem": problem})
+    for a in (5, 6):
+        matrix = sweeps._rank2_matrix(a, 1)
+        for word, d in (((1, 2), 1), ((2, 1, 2), 1)):
+            verdict = rank2.classify_intersection(_gcm(matrix), WeylWord.of(word),
+                                                  Coweight((1, 0)), d)
+            for x, y in sweeps._PINNED_XY:
+                cases += 1
+                problem = pair_problem(matrix, verdict, x, y)
+                if problem:
+                    failures.append({"a": a, "b": 1, "word": list(word), "tau": [1, 0],
+                                     "d": d, "x": x, "y": y, "problem": problem})
+    return SuiteReport("rank2-theorem", config.seed, cases, tuple(failures)).as_dict()
 
 
 def _realized_draws(config):
@@ -343,6 +438,64 @@ def test_regdomthm_dedup_matches_per_instance_loop(monkeypatch, config):
         f["instance"] for f in ours["failures"])
 
 
+def test_rank2_theorem_memo_matches_per_case_loop(monkeypatch):
+    # one injected failure of each kind.  The Single alpha_1 occurs under both
+    # (3, 2) and (2, 3) and fails differently under each, so a memo shared
+    # across pairs would misreport it; 5 alpha_1 + 2 alpha_2 (height 7) is
+    # realized, 5 alpha_1 + 8 alpha_2 (height 13) is checked on root data only;
+    # the pinned failure of (5, 1) must still follow (7, 1)'s grid
+    config = SweepConfig()
+    h32, h23, h71, h51 = (_gcm(sweeps._rank2_matrix(a, b))
+                          for a, b in ((3, 2), (2, 3), (7, 1), (5, 1)))
+    a1 = simple_root(2, 1)
+    real_classify, real_realized = rank2.classify_intersection, sl2.verify_realized
+    real_symbolic, real_pair = sl2.verify_symbolic, rank2.build_exceptional_triple
+
+    def classify(g, word, tau, d):
+        if g == h32 and word.letters == (1, 2) and d == 1:
+            raise KmjmError("injected classification failure")
+        return real_classify(g, word, tau, d)
+
+    def realized(triple, alg):
+        if alg.gcm == h32 and triple.sigma.roots == (a1,):
+            return False
+        if alg.gcm == h23 and triple.sigma.roots == (RootVec((5, 2)),):
+            raise KmjmError("injected realization failure")
+        return real_realized(triple, alg)
+
+    def symbolic(triple):
+        if triple.sigma.gcm == h23 and triple.sigma.roots in ((a1,), (RootVec((5, 8)),)):
+            return False
+        return real_symbolic(triple)
+
+    def pair(g, verdict, x, y, alg):
+        if g == h71 and verdict.kind == "ExceptionalII":
+            raise KmjmError("injected exceptional failure")
+        t = real_pair(g, verdict, x, y, alg)
+        if g == h51 and verdict.kind == "ExceptionalI" and (x, y) == (2, 3):
+            return sl2.RealizedTriple(t.e, t.h, 2 * t.f)
+        return t
+
+    monkeypatch.setattr(rank2, "classify_intersection", classify)
+    monkeypatch.setattr(sl2, "verify_realized", realized)
+    monkeypatch.setattr(sl2, "verify_symbolic", symbolic)
+    monkeypatch.setattr(rank2, "build_exceptional_triple", pair)
+    ours = SUITES["rank2-theorem"](config).as_dict()
+    assert ours == _reference_rank2_theorem(config)
+    assert ours["cases"] == 2116
+    fails = ours["failures"]
+    problems = Counter(f["problem"] for f in fails)
+    assert problems["classification failed: injected classification failure"] >= 1
+    assert problems["realized relations failed"] >= 2
+    assert problems["realization failed: injected realization failure"] == 36
+    assert problems["symbolic relations failed"] == 72 + 9
+    assert problems["KmjmError: injected exceptional failure"] >= 1
+    assert {(f["a"], f["b"]) for f in fails} == {(3, 2), (2, 3), (7, 1), (5, 1)}
+    pinned = [f for f in fails if "x" in f]
+    assert [(f["a"], f["x"], f["y"]) for f in pinned] == [(5, 2, 3)]
+    assert fails[-1] == pinned[0]
+
+
 def test_each_distinct_slice_is_checked_once(monkeypatch):
     # at the default seed the 500 instances hold 170 distinct (matrix, slice)
     # pairs; 484 instances are realized, under 354 distinct weight tuples
@@ -371,23 +524,10 @@ def test_each_distinct_slice_is_checked_once(monkeypatch):
 
 def test_regdomthm_holds_one_algebra_at_a_time(monkeypatch):
     # the suite realizes one matrix's triples at a time, each in an algebra of
-    # its own that is gone before the next one is built, and it leaves the
-    # module's algebra cache alone: no algebra outlives the suite call
-    import kmjm.realize as realize
-
-    built, real = [], realize.truncated_on_demand
-
-    def spy(g, height, **kw):
-        assert all(ref() is None for ref in built)
-        alg = real(g, height, **kw)
-        built.append(weakref.ref(alg))
-        return alg
-
-    def no_cache(*args):
-        raise AssertionError("regdomthm read the module's algebra cache")
-
-    monkeypatch.setattr(realize, "truncated_on_demand", spy)
-    monkeypatch.setattr(sweeps, "_algebra", no_cache)
+    # its own that is gone before the next one is built, and the module keeps
+    # no algebra cache: no algebra outlives the suite call
+    assert not hasattr(sweeps, "_algebra")
+    built, _ = _spy_builds(monkeypatch)
     assert SUITES["regdomthm"](SweepConfig()).ok
     assert len(built) == len({m for m, _, _ in _realized_draws(SweepConfig())})
     assert all(ref() is None for ref in built)
