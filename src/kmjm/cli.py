@@ -19,7 +19,7 @@ from .gcm import validate_gcm
 from .grading import check_finite_grading, phi_w_d
 from .lattice import Coweight, RootVec, Value, WeylWord, rootvec
 from .pisystem import classify_pi_type, make_pi_system
-from .roots import peterson_multiplicities
+from .roots import MultTable, peterson_multiplicities
 from .weyl import inversion_set
 
 # The realization layer (realize, sl2, rank2, sweeps) is imported inside the
@@ -312,7 +312,8 @@ def _cmd_pisys(args, rc: RunConfig):
     if args.oracle_height is not None:
         if args.oracle_height < 0:
             raise UsageError(f"--oracle-height must be >= 0, got {args.oracle_height}")
-        table = peterson_multiplicities(g, args.oracle_height)
+        # make_pi_system's guard reads only the gcm and height of a given table
+        table = MultTable(g, args.oracle_height)
     try:
         sigma = make_pi_system(g, roots, table)
     except NotPiSystem as err:

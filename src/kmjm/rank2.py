@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import InternalInconsistency, NotHyperbolic, ZeroElement
-from .gcm import GCM, classify, validate_gcm
+from .gcm import GCM, validate_gcm
 from .grading import check_finite_grading, phi_w_d
 from .lattice import Coweight, RootVec, Value, WeylWord
 from .pisystem import make_pi_system
@@ -88,12 +88,10 @@ class IntersectionVerdict(Value):
 def _require_rank2_hyperbolic(g: GCM):
     if g.n != 2:
         raise NotHyperbolic(f"matrix has rank {g.n}, the closed forms need rank 2", rank=g.n)
-    tag = classify(g)
-    if not tag.hyperbolic:
+    product = g.entries[0][1] * g.entries[1][0]
+    if product < 5:
         raise NotHyperbolic(
-            "matrix is not hyperbolic: off-diagonal product "
-            f"{g.entries[0][1] * g.entries[1][0]} < 5",
-            product=g.entries[0][1] * g.entries[1][0],
+            f"matrix is not hyperbolic: off-diagonal product {product} < 5", product=product
         )
 
 

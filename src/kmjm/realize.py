@@ -673,9 +673,9 @@ def truncated_on_demand(g: GCM, height: int, mode: str = "strict",
         raise ValueError(f"height bound must be >= 1, got {height}")
     if table is None or table.gcm != g or table.height < height:
         table = peterson_multiplicities(g, height)
-    # a plain dict of the algebra's own heights keeps its lookups C-level, and
-    # fills a taller Peterson table only that far
-    table = MultTable(g, height, table.up_to(height))
+    # the algebra keeps its own copy of its heights: a given table may be
+    # taller, or shared with other readers
+    table = MultTable(g, height, {v: m for v, m in table.mult.items() if v.height <= height})
     cap = resolve_cap(cap)
     estimated = g.n + 2 * sum(table.mult.values())
     if estimated > cap:

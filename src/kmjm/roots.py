@@ -25,11 +25,8 @@ Three independent routes into the root system:
   where A = sum C'C'' and B = sum (N' + N'') C'C'' run over the unordered
   pairs b' != b''.  Per pair that is one key addition and two multiply-adds
   into A and B; the norm is stored once per vector with nonzero C, and the
-  form is evaluated once per vector the convolution reaches.
-
-  Each height is computed on the first read that reaches it (all of them for
-  iteration, len, ==, repr, pickle or copy); a check that fails raises at
-  that read and again at every later read of the table.
+  form is evaluated once per vector the convolution reaches.  The whole
+  table is computed by the call, and a check that fails raises from it.
 
 The resulting MultTable is the multiplicity oracle the other modules consume:
 mult(beta) = 0 exactly for non-roots, real roots have mult 1 and positive norm.
@@ -39,7 +36,6 @@ A question of membership alone (pi-systems) goes to descend instead.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -151,8 +147,7 @@ def descend(g: GCM, v: RootVec) -> str | None:
 class MultTable(Value):
     """Root multiplicities of g(A) for positive roots of height <= height.
 
-    The one mutable value type, and so the one that is not hashable.  A
-    Peterson table's ``mult`` is a read-only mapping filled on first use."""
+    The one mutable value type, and so the one that is not hashable."""
 
     __slots__ = ("gcm", "height", "mult")
     __hash__ = None
@@ -170,79 +165,21 @@ class MultTable(Value):
             v = -v
         return self.mult.get(v, 0)
 
-    def up_to(self, height: int) -> dict[RootVec, int]:
-        """Heights <= height as a plain dict; a Peterson table fills no higher."""
-        mult = self.mult._upto(height) if isinstance(self.mult, _Heights) else self.mult
-        return {v: m for v, m in mult.items() if v.height <= height}
-
-
-class _Heights(Mapping):
-    """The ``mult`` of a Peterson table: a dict filled one height at a time by
-    the steps of the recurrence.  A lookup fills up to the height it asks
-    about, any other read fills the top.  A step that raises leaves its
-    height out, and every later read raises that error again."""
-
-    __slots__ = ("_data", "_filled", "_top", "_steps", "_error")
-
-    def __init__(self, top: int, steps):
-        self._data: dict[RootVec, int] = {}
-        self._filled, self._top, self._steps, self._error = 0, top, steps, None
-
-    def _upto(self, height: int) -> dict[RootVec, int]:
-        if self._error is not None:
-            raise self._error.with_traceback(None)
-        try:
-            for _ in range(self._filled, min(height, self._top)):
-                self._data.update(next(self._steps))
-                self._filled += 1
-            if self._filled == self._top:
-                self._steps = None  # let the recurrence's working lists go
-        except BaseException as exc:  # the generator is dead, a height missing
-            self._error = exc
-            raise
-        return self._data
-
-    def _for(self, v) -> dict[RootVec, int]:
-        if self._filled < self._top:
-            return self._upto(v.height if v.__class__ is RootVec else self._top)
-        return self._data
-
-    def __contains__(self, v) -> bool:
-        return v in self._for(v)
-
-    def __getitem__(self, v) -> int:
-        return self._for(v)[v]
-
-    def __iter__(self):
-        return iter(self._upto(self._top))
-
-    def __len__(self) -> int:
-        return len(self._upto(self._top))
-
-    def __eq__(self, other):
-        return self._upto(self._top) == other
-
-    def __repr__(self) -> str:
-        return repr(self._upto(self._top))
-
-    def __reduce__(self):
-        return dict, (self._upto(self._top),)
-
 
 def peterson_multiplicities(g: GCM, height: int) -> MultTable:
     """Multiplicity table for all positive roots of height <= height.
 
     The content of ``mult`` is fixed; its insertion order is not part of the
     contract: every consumer sorts it, looks vectors up in it or is otherwise
-    order-free.  Only the set-up runs here, each height on its first read.
-    Vectors are visited in (height, lex) order, so a failed check reports
-    the first vector at which the recurrence breaks, from then on.
+    order-free.  Vectors are visited in (height, lex) order, so a failed
+    check reports the first vector at which the recurrence breaks.
     """
     if height < 1:
         return MultTable(g, max(height, 0), {})
     n = g.n
     sym = gcm_mod.symmetrized(g)
     two_d = [2 * di for di in g.symmetrizer]
+    scale = lcm(*range(1, height + 1))
     # N(v) = sum of q v_i v_j over i <= j
     norm_terms = [
         (i, j, sym[i][j] if i == j else 2 * sym[i][j]) for i in range(n) for j in range(i, n)
@@ -257,82 +194,72 @@ def peterson_multiplicities(g: GCM, height: int) -> MultTable:
             v.append(digit)
         return tuple(v)
 
-    def steps():
-        # one step per height: the roots of that height with their multiplicities
-        # lcm(1..height) grows with the top height, so a table that is never
-        # read (a pi-system's given oracle) does not compute it
-        scale = lcm(*range(1, height + 1))
-        mult: dict[int, int] = {}  # by packed key, roots only
-        # live[h]: (key, C, N) for each vector of height h with C != 0, N its norm
-        live: list[list[tuple[int, int, int]]] = [[] for _ in range(height + 1)]
-        for i in range(n):
-            mult[weights[i]] = 1
-            live[1].append((weights[i], scale, sym[i][i]))
-        yield {RootVec(unpack(k)): 1 for k in mult}
+    mult: dict[int, int] = {}  # by packed key, roots only
+    # live[h]: (key, C, N) for each vector of height h with C != 0, N its norm
+    live: list[list[tuple[int, int, int]]] = [[] for _ in range(height + 1)]
+    for i in range(n):
+        mult[weights[i]] = 1
+        live[1].append((weights[i], scale, sym[i][i]))
 
-        for h in range(2, height + 1):
-            found: dict[RootVec, int] = {}
-            # the sums A and B of the module docstring, by key of b' + b''
-            pair_a: defaultdict[int, int] = defaultdict(int)
-            pair_b: defaultdict[int, int] = defaultdict(int)
-            for h1 in range(1, h // 2 + 1):
-                upper = live[h - h1]
-                for i1, (k1, c1, n1) in enumerate(live[h1]):
-                    partners = upper
-                    if h1 == h - h1:
-                        # the pair (b', b') counts once, as N' C'^2
-                        pair_b[k1 + k1] -= n1 * c1 * c1
-                        partners = upper[i1 + 1 :]
-                    for k2, c2, n2 in partners:
-                        key = k1 + k2
-                        p = c1 * c2
-                        pair_a[key] += p
-                        pair_b[key] += p * (n1 + n2)
-            # every vector with a root among its proper divisors is reached: 2u
-            # by the pair (u, u), ku for k >= 3 by (u, (k-1)u)
-            for key in sorted(pair_b):
-                v = unpack(key)
-                nv = sum(q * v[i] * v[j] for i, j, q in norm_terms)
-                r = nv * pair_a[key] - pair_b[key]
-                # contribution of proper divisors to the scaled c-value at v
-                divpart = 0
-                gv = gcd(*v)
-                for k in range(2, gv + 1):
-                    if gv % k == 0:
-                        divpart += mult.get(key // k, 0) * (scale // k)
-                if r == 0 and divpart == 0:
-                    continue
-                denom = nv - sum(map(mul, two_d, v))
-                if denom == 0:
-                    # The recurrence is vacuous here (0 = 0).  At height >= 2 this
-                    # happens only off the root system (roots keep (b|b) < (b|2rho)
-                    # strictly), so no multiplicity is introduced at v and the
-                    # c-value is exactly what the divisors below it contribute.
-                    if r != 0:
-                        raise DegenerateDenominator(
-                            "(beta|beta-2rho) = 0 with nonzero recurrence RHS "
-                            f"at beta = {list(v)}",
-                            beta=list(v),
-                        )
-                    cv, rem = divpart, 0
-                else:
-                    cv, rem = divmod(r, scale * denom)
-                # invert c into mult: strip the divisor contributions
-                m, rem_m = divmod(cv - divpart, scale)
-                if rem or rem_m or m < 0:
-                    scaled = Fraction(r, scale * denom) if rem else Fraction(cv)
-                    raise InternalInconsistency(
-                        f"multiplicity of {list(v)} came out {(scaled - divpart) / scale}",
+    for h in range(2, height + 1):
+        # the sums A and B of the module docstring, by key of b' + b''
+        pair_a: defaultdict[int, int] = defaultdict(int)
+        pair_b: defaultdict[int, int] = defaultdict(int)
+        for h1 in range(1, h // 2 + 1):
+            upper = live[h - h1]
+            for i1, (k1, c1, n1) in enumerate(live[h1]):
+                partners = upper
+                if h1 == h - h1:
+                    # the pair (b', b') counts once, as N' C'^2
+                    pair_b[k1 + k1] -= n1 * c1 * c1
+                    partners = upper[i1 + 1 :]
+                for k2, c2, n2 in partners:
+                    key = k1 + k2
+                    p = c1 * c2
+                    pair_a[key] += p
+                    pair_b[key] += p * (n1 + n2)
+        # every vector with a root among its proper divisors is reached: 2u
+        # by the pair (u, u), ku for k >= 3 by (u, (k-1)u)
+        for key in sorted(pair_b):
+            v = unpack(key)
+            nv = sum(q * v[i] * v[j] for i, j, q in norm_terms)
+            r = nv * pair_a[key] - pair_b[key]
+            # contribution of proper divisors to the scaled c-value at v
+            divpart = 0
+            gv = gcd(*v)
+            for k in range(2, gv + 1):
+                if gv % k == 0:
+                    divpart += mult.get(key // k, 0) * (scale // k)
+            if r == 0 and divpart == 0:
+                continue
+            denom = nv - sum(map(mul, two_d, v))
+            if denom == 0:
+                # The recurrence is vacuous here (0 = 0).  At height >= 2 this
+                # happens only off the root system (roots keep (b|b) < (b|2rho)
+                # strictly), so no multiplicity is introduced at v and the
+                # c-value is exactly what the divisors below it contribute.
+                if r != 0:
+                    raise DegenerateDenominator(
+                        "(beta|beta-2rho) = 0 with nonzero recurrence RHS "
+                        f"at beta = {list(v)}",
                         beta=list(v),
                     )
-                if m:
-                    mult[key] = m
-                    found[RootVec(v)] = m
-                if cv:
-                    live[h].append((key, cv, nv))
-            yield found
-
-    return MultTable(g, height, _Heights(height, steps()))
+                cv, rem = divpart, 0
+            else:
+                cv, rem = divmod(r, scale * denom)
+            # invert c into mult: strip the divisor contributions
+            m, rem_m = divmod(cv - divpart, scale)
+            if rem or rem_m or m < 0:
+                scaled = Fraction(r, scale * denom) if rem else Fraction(cv)
+                raise InternalInconsistency(
+                    f"multiplicity of {list(v)} came out {(scaled - divpart) / scale}",
+                    beta=list(v),
+                )
+            if m:
+                mult[key] = m
+            if cv:
+                live[h].append((key, cv, nv))
+    return MultTable(g, height, {RootVec(unpack(k)): m for k, m in mult.items()})
 
 
 def is_root(table: MultTable, v: RootVec) -> bool:

@@ -82,6 +82,15 @@ def test_pisys_positive_and_negative(capsys):
     assert data["reason"]
 
 
+def test_pisys_oracle_height_makes_no_table(capsys, peterson_calls):
+    # a given oracle is checked against its height and never read, so even a
+    # tall one costs nothing and changes nothing
+    argv = ("pisys", "--gcm-inline", H3_INLINE, "--roots", "[[1,0],[0,1]]")
+    code, out, _ = run(capsys, *argv, "--oracle-height", "100000")
+    assert code == 0 and peterson_calls == []
+    assert run(capsys, *argv)[:2] == (0, out)
+
+
 def test_sl2_from_slice(capsys):
     code, out, _ = run(
         capsys, "sl2", "--gcm-inline", H51_INLINE,

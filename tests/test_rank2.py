@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,6 +14,7 @@ from kmjm import (
     b_seq,
     build_exceptional_triple,
     check_interleavings,
+    classify,
     classify_intersection,
     defining_word,
     family_root,
@@ -163,6 +165,21 @@ def test_label_validation():
         ab_of(validate_gcm(A2))
     with pytest.raises(NotHyperbolic):
         ab_of(validate_gcm([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]))
+
+
+def test_hyperbolic_check_agrees_with_classify():
+    # the rank-2 check reads the off-diagonal product alone; classify types
+    # the whole matrix
+    for a, b in product(range(9), repeat=2):
+        if (a == 0) != (b == 0):
+            continue  # not a GCM
+        g = validate_gcm([[2, -b], [-a, 2]])
+        try:
+            ab_of(g)
+        except NotHyperbolic:
+            assert not classify(g).hyperbolic, (a, b)
+        else:
+            assert classify(g).hyperbolic, (a, b)
 
 
 def test_check_interleavings():

@@ -3,7 +3,6 @@ import hashlib
 import pickle
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -144,36 +143,6 @@ def test_pinned_tables(matrix, height, digest):
     assert _table_digest(tab) == digest
 
 
-@pytest.mark.parametrize("matrix, height, digest", _PINNED_TABLES)
-def test_low_first_read_keeps_the_pinned_tables(matrix, height, digest):
-    # a table read first at a low vector fills only that far, and read in
-    # full afterwards holds the same content as one read in full at once
-    g = validate_gcm(matrix)
-    tab = peterson_multiplicities(g, height)
-    low = rootvec((1,) * g.n)
-    assert tab.mult._filled == 0
-    m = tab.multiplicity(low)
-    assert tab.mult._filled == g.n
-    assert _table_digest(tab) == digest
-    assert tab.mult._filled == height and tab.multiplicity(low) == m
-
-
-def test_scale_waits_for_the_first_read(monkeypatch):
-    # lcm(1..height) grows with the top height, so a table that is made and
-    # never read must not pay for it
-    calls = []
-
-    def spy(*args):
-        calls.append(len(args))
-        return lcm(*args)
-
-    monkeypatch.setattr(roots, "lcm", spy)
-    tab = peterson_multiplicities(validate_gcm(A2), 50)
-    assert calls == []
-    assert tab.multiplicity(rootvec((1, 1))) == 1
-    assert calls == [50]
-
-
 @pytest.mark.parametrize(
     "matrix, sym, error, message",
     [
@@ -188,17 +157,12 @@ def test_scale_waits_for_the_first_read(monkeypatch):
 )
 def test_recurrence_checks_fire(monkeypatch, matrix, sym, error, message):
     # an inconsistent symmetrization breaks the recurrence; its checks must
-    # catch that with the same report as before
-    # at the first read that reaches the broken height, and at every read
-    # after it, even one below that height: a half-filled table never reads
-    # as complete
+    # catch that with the same report as before, raised by the call itself
     g = validate_gcm(matrix)
     monkeypatch.setattr(roots.gcm_mod, "symmetrized", lambda _: sym)
-    tab = peterson_multiplicities(g, 8)
-    for read in (tab.roots, lambda: tab.multiplicity(simple_root(2, 1))):
-        with pytest.raises(error) as info:
-            read()
-        assert str(info.value) == message
+    with pytest.raises(error) as info:
+        peterson_multiplicities(g, 8)
+    assert str(info.value) == message
 
 
 def test_lazy_table_equals_its_plain_twin():
