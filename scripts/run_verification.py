@@ -17,8 +17,7 @@ import json
 import sys
 import time
 
-from kmjm.errors import KmjmError
-from kmjm.realize import resolve_cap
+from kmjm.errors import KmjmError, resolve_cap
 from kmjm.sweeps import SUITES, SweepConfig
 
 

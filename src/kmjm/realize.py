@@ -93,7 +93,6 @@ from operator import sub
 
 from ._linalg import _rational, _Span, _span_of
 from .errors import (
-    DEFAULT_CAP,
     HeightOutOfRange,
     InternalInconsistency,
     NotRealRoot,
@@ -110,14 +109,12 @@ __all__ = [
     "TruncatedAlgebra",
     "build_truncated",
     "truncated_on_demand",
-    "resolve_cap",
     "exp_ad",
     "simple_reflection",
     "NilpotencyResult",
     "check_locally_nilpotent",
     "real_root_vector",
     "companion_vector",
-    "DEFAULT_CAP",
 ]
 
 # ---------------------------------------------------------------------------
@@ -208,10 +205,10 @@ class AlgElement:
             raise ValueError("elements belong to different algebras")
 
     def split(self):
-        h, p, n = {}, {}, {}
+        parts = {"h": {}, "p": {}, "n": {}}
         for k, v in self.terms.items():
-            {"h": h, "p": p, "n": n}[k[0]][k] = v
-        return h, p, n
+            parts[k[0]][k] = v
+        return parts["h"], parts["p"], parts["n"]
 
     def to_serial(self):
         out = {}
@@ -343,7 +340,7 @@ class TruncatedAlgebra:
                 below = _minus(deg, i)
                 up = data.up[i] = []
                 for l in range(self._degree(below).mult):
-                    t = self._raise_tvec(i, -1, below, {l: 1})
+                    t = self._candidate_tvec(i, below, l)
                     got = span.add(_flat(t, n))
                     if got is None:
                         got = {len(data.lower): 1}
@@ -363,31 +360,24 @@ class TruncatedAlgebra:
         data.mult = rank
         return data
 
-    def _raising(self, deg):
-        """up[i][l] = [e_i, b_l] over the basis at deg, b_l the l-th basis
-        vector at deg - alpha_i."""
-        return self._degree(deg).up
-
-    def _raise_tvec(self, i, c, deg, y):
-        # T-images of [c e_i, y], y coordinates at deg:
+    def _candidate_tvec(self, i, deg, l):
+        # T-images of the candidate [b_l, e_i] = [e_i, -b_l], b_l the l-th
+        # basis vector at deg:
         # T_j [e_i, y] = [e_i, T_j y] + delta_ij <deg, alpha_i^v> y
         out = {}
-        lower = self.degrees[deg].lower
-        simple = sum(deg) == 1
-        for k, b in y.items():
-            for j, t in lower[k].items():
-                acc = out.setdefault(j, {})
-                if simple:
-                    # T_j e_j = h_j and [e_i, h_j] = -a_ji e_i
-                    _add_scaled(acc, -c * b * self.gcm.entries[j][i], {0: 1})
-                    continue
-                up = self._raising(_plus(_minus(deg, j), i)).get(i)
-                if up:
-                    for m, v in t.items():
-                        _add_scaled(acc, c * b * v, up[m])
+        for j, t in self.degrees[deg].lower[l].items():
+            acc = out[j] = {}
+            if sum(deg) == 1:
+                # T_j e_j = h_j and [e_i, h_j] = -a_ji e_i
+                _add_scaled(acc, self.gcm.entries[j][i], {0: 1})
+                continue
+            up = self._degree(_plus(_minus(deg, j), i)).up.get(i)
+            if up:
+                for m, v in t.items():
+                    _add_scaled(acc, -v, up[m])
         w = self._pairing(i, deg)
         if w:
-            _add_scaled(out.setdefault(i, {}), c * w, y)
+            _add_scaled(out.setdefault(i, {}), -w, {l: 1})
         return {j: t for j, t in out.items() if t}
 
     def _pairing(self, m, deg):
@@ -457,98 +447,72 @@ class TruncatedAlgebra:
             raise ValueError("elements belong to a different algebra")
         truncated = False
         acc: dict = {}
-
-        def add(terms, scale):
-            _add_scaled(acc, scale, terms)
-
         xh, xp, xn = x.split()
         yh, yp, yn = y.split()
-        A = self.gcm.entries
-        # [h, .]
-        for hk, hc in xh.items():
-            i = hk[1] - 1
-            for pk, pc in yp.items():
-                val = sum(A[i][j] * pk[1][j] for j in range(self.gcm.n))
-                if val:
-                    add({pk: val}, hc * pc)
-            for nk, nc in yn.items():
-                val = sum(A[i][j] * nk[1][j] for j in range(self.gcm.n))
-                if val:
-                    add({nk: -val}, hc * nc)
-        for hk, hc in yh.items():
-            i = hk[1] - 1
-            for pk, pc in xp.items():
-                val = sum(A[i][j] * pk[1][j] for j in range(self.gcm.n))
-                if val:
-                    add({pk: -val}, hc * pc)
-            for nk, nc in xn.items():
-                val = sum(A[i][j] * nk[1][j] for j in range(self.gcm.n))
-                if val:
-                    add({nk: val}, hc * nc)
+        # [h_i, v] = <deg, alpha_i^v> v for v at deg, minus that for v at
+        # -deg, and [v, h] = -[h, v]
+        for hs, ps, ns, sign in ((xh, yp, yn, 1), (yh, xp, xn, -1)):
+            for hk, hc in hs.items():
+                for vs, s in ((ps, sign), (ns, -sign)):
+                    for vk, vc in vs.items():
+                        val = self._pairing(hk[1] - 1, vk[1])
+                        if val:
+                            _add_scaled(acc, hc * vc, {vk: s * val})
         # [p, p] and [n, n]
         for kind, xs, ys in (("p", xp, yp), ("n", xn, yn)):
             for ak, ac in xs.items():
                 for bk, bc in ys.items():
-                    coords, cut = self._pp(ak[1], ak[2], bk[1], bk[2])
-                    truncated = truncated or cut
-                    if coords:
+                    coords = self._pp(ak[1], ak[2], bk[1], bk[2])
+                    if coords is None:
+                        truncated = True
+                    elif coords:
                         deg = tuple(a + b for a, b in zip(ak[1], bk[1]))
-                        add({(kind, deg, k): v for k, v in coords.items()}, ac * bc)
-        # [p, n] and [n, p], one homogeneous block of each side at a time
-        if xp and yn:
-            nb = _blocks(yn)
-            for da, a in _blocks(xp).items():
-                for db, b in nb.items():
-                    add(self._mixed(da, a, db, b), 1)
-        if xn and yp:
-            pb = _blocks(yp)
-            for db, b in _blocks(xn).items():
-                for da, a in pb.items():
-                    add(self._mixed(da, a, db, b), -1)
+                        _add_scaled(acc, ac * bc, {(kind, deg, k): v for k, v in coords.items()})
+        # [p, n] and [n, p] = -[p, n], one homogeneous block of each side at a time
+        for ps, ns, sign in ((xp, yn, 1), (yp, xn, -1)):
+            if ps and ns:
+                nb = _blocks(ns)
+                for da, a in _blocks(ps).items():
+                    for db, b in nb.items():
+                        _add_scaled(acc, sign, self._mixed(da, a, db, b))
         return AlgElement(self, acc), truncated
 
     def _pp(self, da, k, db, l):
-        # bracket of two positive basis vectors as coordinates at da + db;
-        # the bool reports a height cut
+        # bracket of two positive basis vectors as coordinates at da + db, or
+        # None when the height bound cuts it (a cut is not memoized); the
+        # square of a basis vector is zero at any height
         key = (da, k, db, l)
         got = self._pp_cache.get(key)
         if got is not None:
             return got
         deg = tuple(a + b for a, b in zip(da, db))
         if da == db and k == l:
-            res = ({}, False)
+            res = {}
         elif sum(deg) > self.height:
-            res = ({}, True)
+            return None
         elif not self._mult(deg):
-            res = ({}, False)
+            res = {}
         elif sum(da) == 1:
-            res = (self._raising(deg)[da.index(1)][l], False)
+            res = self._degree(deg).up[da.index(1)][l]
         elif sum(db) == 1:
-            res = ({c: -v for c, v in self._raising(deg)[db.index(1)][k].items()}, False)
+            res = {c: -v for c, v in self._degree(deg).up[db.index(1)][k].items()}
         else:
             # p_l = sum_i [e_i, y] and [x, [e_i, y]] = -[[e_i, x], y] + [e_i, [x, y]],
             # reading ad e_i from the raising matrices at da + alpha_i and at
             # deg: every degree in between lies below deg, so nothing is cut
-            top = self._raising(deg)
-            acc = {}
-            for i, y in self._decomposition(db)[l]:
+            top = self._degree(deg).up
+            res = {}
+            for i, y in self._degree(db).decomp[l]:
                 dx, dy = _plus(da, i), _minus(db, i)
-                ex = self._raising(dx)[i][k] if self._mult(dx) else {}
+                ex = self._degree(dx).up[i][k] if self._mult(dx) else {}
                 for m, c in y.items():
                     for s, v in ex.items():
-                        _add_scaled(acc, -c * v, self._pp(dx, s, dy, m)[0])
-                    for t, v in self._pp(da, k, dy, m)[0].items():
-                        _add_scaled(acc, c * v, top[i][t])
-            res = (acc, False)
+                        _add_scaled(res, -c * v, self._pp(dx, s, dy, m))
+                    for t, v in self._pp(da, k, dy, m).items():
+                        _add_scaled(res, c * v, top[i][t])
         self._pp_cache[key] = res
-        self._pp_cache[(db, l, da, k)] = ({c: -v for c, v in res[0].items()}, res[1])
+        self._pp_cache[(db, l, da, k)] = {c: -v for c, v in res.items()}
         return res
-
-    def _decomposition(self, deg):
-        """Per basis vector at deg (height at least two), the list of (i, y)
-        with y coordinates at deg - alpha_i (i 0-based) and the vector equal
-        to sum_i [e_i, y]."""
-        return self._degree(deg).decomp
 
     def _gram(self, deg):
         """G[k][l] = L (p_k | mirror p_l) at deg.  With mirror p_l =
@@ -561,7 +525,7 @@ class TruncatedAlgebra:
                 gram = [[self._form_unit // self.gcm.symmetrizer[deg.index(1)]]]
             else:
                 gram = [[0] * m for _ in range(m)]
-                for l, parts in enumerate(self._decomposition(deg)):
+                for l, parts in enumerate(data.decomp):
                     for i, y in parts:
                         # the form of each basis vector below with mirror y
                         w = [_dot(y, row) for row in self._gram(_minus(deg, i))]
@@ -629,7 +593,7 @@ class TruncatedAlgebra:
         for t in range(dim):
             r = 0
             for l, bl in b.items():
-                r += bl * _dot(self._pp(db, l, gam, t)[0], u)
+                r += bl * _dot(self._pp(db, l, gam, t), u)
             rhs[t] = r
         return {("p", gam, s): v for s, v in self._gram_span(gam).solve(rhs).items()}
 

@@ -50,6 +50,7 @@ from .errors import (
 )
 from .gcm import GCM, bilinear_form, norm
 from .lattice import Coweight, RootVec, Value, simple_root
+from .weyl import reflect
 
 __all__ = [
     "MultTable",
@@ -79,11 +80,7 @@ def real_roots_up_to_height(g: GCM, height: int) -> list[RootVec]:
     while queue:
         beta = queue.pop()
         for i in range(1, n + 1):
-            # s_i(beta) = beta - beta(alpha_i^vee) alpha_i
-            pairing = sum(beta.coeffs[j] * g.entries[i - 1][j] for j in range(n))
-            new = list(beta.coeffs)
-            new[i - 1] -= pairing
-            cand = RootVec(tuple(new))
+            cand = reflect(g, i, beta)
             if cand.is_positive and cand.height <= height and cand not in found:
                 found.add(cand)
                 queue.append(cand)

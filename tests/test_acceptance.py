@@ -79,7 +79,7 @@ def test_criterion_1_realization_matches_oracle():
                 if sum(deg) == 1:
                     rank = len(data.lower)
                 else:
-                    flat = [_flat(alg._raise_tvec(i, -1, _minus(deg, i), {l: 1}), g.n)
+                    flat = [_flat(alg._candidate_tvec(i, _minus(deg, i), l), g.n)
                             for i in range(g.n) if deg[i]
                             for l in range(alg.degrees[_minus(deg, i)].mult)]
                     rank = len(_span_of(flat)[0])

@@ -94,6 +94,20 @@ def test_suites_load_without_realize():
     assert not loaded & {"kmjm.realize", "kmjm.sl2", "kmjm.rank2"}
 
 
+def test_pi_system_suite_script_leaves_realize_unloaded():
+    # reg-grade checks pi-systems only, so its script run builds no algebra
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
+    loaded = _loaded_after(
+        "import importlib.util\n"
+        f"spec = importlib.util.spec_from_file_location('run_verification', {str(script)!r})\n"
+        "module = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "assert module.main(['--suite', 'reg-grade']) == 0\n"
+    )
+    assert "kmjm.sweeps" in loaded
+    assert not loaded & {"kmjm.realize", "kmjm.sl2", "kmjm.rank2"}
+
+
 def test_no_dataclasses_or_inspect():
     # both cost a fresh interpreter milliseconds; kmjm's value types need neither
     bare = _modules_after("pass")

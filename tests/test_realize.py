@@ -29,12 +29,11 @@ from kmjm import (
 )
 from kmjm import realize
 from kmjm._linalg import _Span, _span_of
+from kmjm.errors import DEFAULT_CAP, resolve_cap
 from kmjm.realize import (
-    DEFAULT_CAP,
     AlgElement,
     _minus,
     peterson_multiplicities,
-    resolve_cap,
     truncated_on_demand,
 )
 from kmjm.roots import coroot_coords, real_roots_up_to_height
@@ -267,6 +266,19 @@ def test_check_locally_nilpotent(algebra):
     assert res[0].degree is None and res[0].reason == "window"
     with pytest.raises(ValueError):
         check_locally_nilpotent(alg, alg.e(1), [alg.e(2)], -1)
+
+
+def test_square_across_the_bound_is_zero_not_a_cut(algebra):
+    # [e_1, e_1] would sit at height two, above a window of one, but it is
+    # zero at every height: only a product of two different basis vectors
+    # is cut by the bound
+    alg = algebra(H3, 1)
+    e1, e2 = alg.e(1), alg.e(2)
+    assert exp_ad(alg, e1, e1, 1) == e1
+    res = check_locally_nilpotent(alg, e1, [e1, e2], 3)
+    assert [(r.degree, r.reason) for r in res] == [(1, None), (None, "window")]
+    assert alg._bracket_checked(e1, e1) == (alg.zero(), False)
+    assert alg._bracket_checked(e1, e2) == (alg.zero(), True)
 
 
 def test_height_guard(algebra):
@@ -685,7 +697,7 @@ def _ref_pn(alg, pk, nk, memo):
         else:
             x = AlgElement(alg, {pk: Fraction(1)})
             out = alg.zero()
-            for i, y in alg._decomposition(deg)[nk[2]]:
+            for i, y in alg._degree(deg).decomp[nk[2]]:
                 z = AlgElement(alg, {("n", _minus(deg, i), m): Fraction(v) for m, v in y.items()})
                 out = (out + _ref_bracket(alg, _ref_t_image(alg, pk, i), z, memo)
                        + _ref_bracket(alg, alg.f(i + 1), _ref_bracket(alg, x, z, memo), memo))
@@ -782,7 +794,7 @@ def test_degenerate_form_raises():
     # (1, 1, 1), whose form is inverted on that first solve
     alg = build_truncated(validate_gcm(A2_AFFINE), 5)
     deg = (1, 1, 1)
-    decomp = alg._decomposition(deg)
+    decomp = alg._degree(deg).decomp
     assert len(decomp) == 2
     decomp[1] = decomp[0]
     x = alg.positive_basis(rootvec((2, 2, 1)))[0]
