@@ -602,7 +602,7 @@ class TruncatedAlgebra:
 # construction entry point
 
 def build_truncated(g: GCM, height: int, mode: str = "strict",
-                    cap: int | None = None, table: MultTable | None = None) -> TruncatedAlgebra:
+                    cap: int | None = None) -> TruncatedAlgebra:
     """Build the truncation at the given height bound, every degree of the
     window included.
 
@@ -611,7 +611,7 @@ def build_truncated(g: GCM, height: int, mode: str = "strict",
     "strict" or "fast"; both select the same construction.  The estimated
     dimension of the window must stay within the cap (resolve_cap).
     """
-    alg = truncated_on_demand(g, height, mode, cap, table)
+    alg = truncated_on_demand(g, height, mode, cap)
     for deg in _window(g.n, height):
         alg._degree(deg)
     return alg
@@ -626,7 +626,7 @@ def _window(n: int, height: int):
 
 
 def truncated_on_demand(g: GCM, height: int, mode: str = "strict",
-                        cap: int | None = None, table: MultTable | None = None) -> TruncatedAlgebra:
+                        cap: int | None = None) -> TruncatedAlgebra:
     """The truncation of build_truncated, with the same arguments and checks,
     but each degree is built the first time a bracket needs it (together
     with every degree below it).  Basis and structure constants
@@ -635,20 +635,15 @@ def truncated_on_demand(g: GCM, height: int, mode: str = "strict",
         raise ValueError(f"mode must be 'strict' or 'fast', got {mode!r}")
     if height < 1:
         raise ValueError(f"height bound must be >= 1, got {height}")
-    if table is None or table.gcm != g or table.height < height:
-        table = peterson_multiplicities(g, height)
-    # the algebra keeps its own copy of its heights: a given table may be
-    # taller, or shared with other readers
-    table = MultTable(g, height, {v: m for v, m in table.mult.items() if v.height <= height})
     cap = resolve_cap(cap)
-    estimated = g.n + 2 * sum(table.mult.values())
-    if estimated > cap:
+    alg = TruncatedAlgebra(g, height, peterson_multiplicities(g, height))
+    if alg.dim > cap:
         raise ResourceCap(
-            f"estimated dimension {estimated} exceeds the cap {cap}",
-            estimated=estimated,
+            f"estimated dimension {alg.dim} exceeds the cap {cap}",
+            estimated=alg.dim,
             cap=cap,
         )
-    return TruncatedAlgebra(g, height, table)
+    return alg
 
 
 # ---------------------------------------------------------------------------

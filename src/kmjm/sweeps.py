@@ -19,14 +19,15 @@ Every suite realizes in algebras local to its own call, one at a time:
 ``regdomthm`` one matrix's triples after the symbolic pass, and
 ``rank2-theorem`` one (a, b) pair's grid.  Each algebra is dropped before the
 next is built, so no suite keeps an algebra after its call.  The suites'
-memos are local to the call too.
+memos are ``functools.cache`` wrappers made in the call, so they go with it
+too.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 
 from ._linalg import _span_of
@@ -340,7 +341,7 @@ def _realized_problem(alg, triple) -> str | None:
 # ---------------------------------------------------------------------------
 # suite: reg-grade — every random slice is a finite-type pi-system
 
-def _pi_system_problem(matrix, roots) -> str | None:
+def _pi_system_problem(matrix, *roots) -> str | None:
     """Why the slice is not a finite-type pi-system with a nonsingular
     induced matrix, or None."""
     try:
@@ -359,14 +360,12 @@ def _pi_system_problem(matrix, roots) -> str | None:
 def run_reg_grade(config: SweepConfig = SweepConfig()) -> SuiteReport:
     cases = 0
     failures = []
-    checked = {}  # (matrix, *slice) -> its problem, or None
+    check = cache(_pi_system_problem)
     for inst, roots in _instance_slices(config):
         cases += 1
-        key = (inst.matrix, *roots)
-        if key not in checked:
-            checked[key] = _pi_system_problem(inst.matrix, roots)
-        if checked[key]:
-            failures.append({**inst.describe(), "problem": checked[key]})
+        problem = check(inst.matrix, *roots)
+        if problem:
+            failures.append({**inst.describe(), "problem": problem})
     return SuiteReport("reg-grade", config.seed, cases, tuple(failures))
 
 
@@ -377,35 +376,32 @@ def run_regdomthm(config: SweepConfig = SweepConfig()) -> SuiteReport:
     from .realize import truncated_on_demand
     from .sl2 import SL2Triple
 
-    built = {}  # (matrix, *slice) -> its weight-one triple, or its problem
-    todo = {}  # matrix -> {((matrix, *slice), weights): the triple to realize}
+    symbolic = cache(_symbolic_triple)  # weight one: a slice's sigma, mu and h
+    todo = {}  # matrix -> {(matrix, slice, weights): the triple to realize}
     records = []  # (instance, weights, its problem or its key in todo)
     for inst, roots in _instance_slices(config):
         rng = random.Random(config.seed * 1_000_003 + inst.index)
         coeffs = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in roots)
-        key = (inst.matrix, *roots)
-        if key not in built:
-            built[key] = _symbolic_triple(inst.matrix, roots, None)
-        verdict = built[key]
+        roots = tuple(roots)
+        verdict = symbolic(inst.matrix, roots, None)
         if isinstance(verdict, str):
             pass
         elif max(bb.height for bb in roots) > REALIZE_HEIGHT_CUTOFF:
             verdict = None
         else:
-            group = todo.setdefault(inst.matrix, {})
-            if (key, coeffs) not in group:
-                # the weights enter e and f only: mu and h are the slice's
-                group[key, coeffs] = SL2Triple(verdict.sigma, coeffs, verdict.mu,
-                                               verdict.h_coords)
-            verdict = (key, coeffs)
+            # the weights enter e and f only: mu and h are the slice's
+            key = (inst.matrix, roots, coeffs)
+            todo.setdefault(inst.matrix, {})[key] = SL2Triple(verdict.sigma, coeffs, verdict.mu,
+                                                              verdict.h_coords)
+            verdict = key
         records.append((inst, coeffs, verdict))
     # one matrix at a time, each in an algebra of its own: the suite never
     # holds them all
     realized = {}
     for matrix, group in todo.items():
         alg = truncated_on_demand(_gcm(matrix), REALIZE_HEIGHT_CUTOFF, cap=config.cap)
-        for rkey, triple in group.items():
-            realized[rkey] = _realized_problem(alg, triple)
+        for key, triple in group.items():
+            realized[key] = _realized_problem(alg, triple)
         del alg  # gone before the next one is built
     failures = []
     for inst, coeffs, verdict in records:
@@ -445,7 +441,15 @@ def run_rank2_theorem(config: SweepConfig = SweepConfig()) -> SuiteReport:
         matrix = _rank2_matrix(a, b)
         g = _gcm(matrix)
         alg = truncated_on_demand(g, MAX_ROOT_HEIGHT, cap=config.cap)
-        checked = {}  # root or verdict -> its problem, or None
+
+        @cache
+        def single(beta):
+            triple = _symbolic_triple(matrix, [beta], None)
+            if isinstance(triple, str):
+                return triple
+            return None if beta.height > MAX_ROOT_HEIGHT else _realized_problem(alg, triple)
+
+        pair = cache(lambda verdict: _check_pair(g, alg, verdict, 1, 1))
         for _, _, _, word, tau, _, counts in _rank2_grid(((a, b),), MAX_TAU, 6):
             for d in range(1, 13):
                 if not counts.get(d, 0):
@@ -457,26 +461,14 @@ def run_rank2_theorem(config: SweepConfig = SweepConfig()) -> SuiteReport:
                 except KmjmError as err:
                     failures.append({**rec, "problem": f"classification failed: {err}"})
                     continue
-                if verdict.kind == "Single":
-                    beta = verdict.root
-                    if beta.height > SYMBOLIC_HEIGHT_CUTOFF:
-                        # beyond the verification window at this scale
-                        continue
-                    key = beta.coeffs
-                    if key not in checked:
-                        triple = _symbolic_triple(matrix, [beta], None)
-                        if isinstance(triple, str):
-                            checked[key] = triple
-                        elif beta.height > MAX_ROOT_HEIGHT:
-                            checked[key] = None
-                        else:
-                            checked[key] = _realized_problem(alg, triple)
+                if verdict.kind != "Single":
+                    problem = pair(verdict)
+                elif verdict.root.height > SYMBOLIC_HEIGHT_CUTOFF:
+                    continue  # beyond the verification window at this scale
                 else:
-                    key = (verdict.kind, tuple(bb.coeffs for bb in verdict.roots))
-                    if key not in checked:
-                        checked[key] = _check_pair(g, alg, verdict, 1, 1)
-                if checked[key]:
-                    failures.append({**rec, "problem": checked[key]})
+                    problem = single(verdict.root)
+                if problem:
+                    failures.append({**rec, "problem": problem})
         if (a, b) in ((5, 1), (6, 1)):
             # pinned exceptional grid: both repair cases, three coefficient pairs
             for word, d in (((1, 2), 1), ((2, 1, 2), 1)):

@@ -905,9 +905,10 @@ def test_on_demand_matches_eager_queried_top_down(matrix, height):
         assert lazy.degrees[deg].lower == eager.degrees[deg].lower
 
 
-def test_on_demand_builds_only_the_downward_closure():
-    alg = truncated_on_demand(validate_gcm(A2_AFFINE), 8, mode="fast")
-    assert alg.dim == build_truncated(validate_gcm(A2_AFFINE), 8, mode="fast").dim
+def test_on_demand_builds_only_the_downward_closure(peterson_calls):
+    g = validate_gcm(A2_AFFINE)
+    alg = truncated_on_demand(g, 8, mode="fast")
+    assert alg.dim == build_truncated(g, 8, mode="fast").dim
     assert len(alg.positive_basis(rootvec((2, 2, 2)))) == 2
     assert not alg.degrees
     assert not alg.bracket(alg.e(1), alg.e(2)).is_zero()
@@ -915,17 +916,12 @@ def test_on_demand_builds_only_the_downward_closure():
     for c in ((0, 0, 0), (9, 0, 0), (1, -1, 1), (1, 1)):
         with pytest.raises(HeightOutOfRange):
             alg.positive_basis(rootvec(c))
-
-
-def test_on_demand_fills_a_taller_oracle_only_to_its_height():
-    # the algebra reads a plain dict of its own heights, equal to the oracle's
-    # there
-    g = validate_gcm(A2_AFFINE)
-    oracle = peterson_multiplicities(g, 12)
-    alg = truncated_on_demand(g, 5, table=oracle)
+    # each build makes its own table, once, a plain dict at its own height
+    peterson_calls.clear()
+    alg = build_truncated(g, 5)
+    assert peterson_calls == [(g.entries, 5)]
     assert type(alg.table.mult) is dict and alg.table.height == 5
-    assert alg.table == truncated_on_demand(g, 5).table
-    assert alg.table.mult == {v: m for v, m in oracle.mult.items() if v.height <= 5}
+    assert alg.table.mult == peterson_multiplicities(g, 5).mult
 
 
 def test_failed_degree_is_not_recorded(monkeypatch):

@@ -6,10 +6,17 @@ from pathlib import Path
 
 import pytest
 
-_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
-_spec = importlib.util.spec_from_file_location("run_verification", _SCRIPT)
-run_verification = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(run_verification)
+
+def _load(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+run_verification = _load("run_verification")
+dimension_table = _load("dimension_table")
 
 
 @pytest.mark.parametrize("count", [-3, 0])
@@ -59,3 +66,42 @@ def test_library_error_is_one_failing_line(capsys):
         },
     }
     assert second["suite"] == "affine-heisenberg" and second["failures"] == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--matrix", "[[2,-1"], "--matrix '[[2,-1' is neither a name nor valid JSON"),
+    (["--matrix", "5"], "--matrix '5' is not a JSON list of rows"),
+    (["--height", "0"], "--height must be >= 1, got 0"),
+    (["--cap", "0"], "the cap must be >= 1, got 0"),
+], ids=["bad-json", "not-a-list", "height-0", "cap-0"])
+def test_dimension_table_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        dimension_table.main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_dimension_table_library_error_is_one_line(capsys):
+    # a matrix that is not a GCM prints one structured line in place of its
+    # table, and the next matrix still gets its table
+    assert dimension_table.main(["--matrix", "[[2,1],[1,2]]", "--matrix", "a2",
+                                 "--height", "2"]) == 1
+    first, *rest = capsys.readouterr().out.splitlines()
+    assert json.loads(first) == {"matrix": "[[2,1],[1,2]]", "error": {
+        "error": "not_gcm",
+        "message": "off-diagonal entry A_12 = 1 > 0",
+        "context": {"i": 1, "j": 2},
+    }}
+    assert rest[0] == "== a2: [[2, -1], [-1, 2]]" and len(rest) == 2 + 2 + 1
+
+
+def test_dimension_table_cap_is_one_failing_line(capsys):
+    assert dimension_table.main(["--matrix", "h3", "--height", "6", "--cap", "5"]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert json.loads(last) == {"matrix": "h3", "error": {
+        "error": "resource_cap",
+        "message": "estimated dimension 6 exceeds the cap 5",
+        "context": {"estimated": 6, "cap": 5},
+    }}
