@@ -28,7 +28,6 @@ from .errors import (
     NotRealRoot,
     NotReduced,
     NotSymmetrizable,
-    OracleTooShort,
     ResourceCap,
     SingularB,
     TruncationAmbiguous,
@@ -101,7 +100,6 @@ __all__ = [
     "NotRealRoot",
     "NotReduced",
     "NotSymmetrizable",
-    "OracleTooShort",
     "ResourceCap",
     "SingularB",
     "TruncationAmbiguous",

@@ -19,7 +19,7 @@ from .gcm import validate_gcm
 from .grading import check_finite_grading, phi_w_d
 from .lattice import Coweight, RootVec, Value, WeylWord, rootvec
 from .pisystem import classify_pi_type, make_pi_system
-from .roots import MultTable, peterson_multiplicities
+from .roots import peterson_multiplicities
 from .weyl import inversion_set
 
 # The realization layer (realize, sl2, rank2, sweeps) is imported inside the
@@ -87,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pisys", parents=[common])
     gcm_flags(sp)
     sp.add_argument("--roots", required=True, metavar="JSON")
-    sp.add_argument("--oracle-height", type=int)
 
     sp = sub.add_parser("sl2", parents=[common])
     gcm_flags(sp)
@@ -308,14 +307,8 @@ def _cmd_grade(args, rc: RunConfig):
 def _cmd_pisys(args, rc: RunConfig):
     g = _load_gcm(args)
     roots = _roots_json(args.roots, g.n)
-    table = None
-    if args.oracle_height is not None:
-        if args.oracle_height < 0:
-            raise UsageError(f"--oracle-height must be >= 0, got {args.oracle_height}")
-        # make_pi_system's guard reads only the gcm and height of a given table
-        table = MultTable(g, args.oracle_height)
     try:
-        sigma = make_pi_system(g, roots, table)
+        sigma = make_pi_system(g, roots)
     except NotPiSystem as err:
         return {
             "pi_system": False,
@@ -389,12 +382,13 @@ def _cmd_rank2(args, rc: RunConfig):
         _b_seq_list,
         _family_root_lists,
         _gamma_eta_lists,
+        ab_of,
         build_exceptional_triple,
         classify_intersection,
     )
 
-    a, b = args.a, args.b
-    g = validate_gcm([[2, -b], [-a, 2]])
+    g = validate_gcm([[2, -args.b], [-args.a, 2]])
+    a, b = ab_of(g)  # every action needs rank 2 and ab >= 5
     if args.action in ("sequences", "families"):
         default = 8 if args.action == "sequences" else 4
         count = args.count if args.count is not None else default

@@ -71,10 +71,6 @@ class NotPiSystem(KmjmError):
     code = "not_pi_system"
 
 
-class OracleTooShort(KmjmError):
-    code = "oracle_too_short"
-
-
 class SingularB(KmjmError):
     code = "singular_b"
 

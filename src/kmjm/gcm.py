@@ -32,10 +32,6 @@ class GCM(Value):
     def n(self) -> int:
         return len(self.entries)
 
-    def a(self, i: int, j: int) -> int:
-        """Entry A_ij, 1-based."""
-        return self.entries[i - 1][j - 1]
-
     def rows(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
 

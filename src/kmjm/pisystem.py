@@ -8,10 +8,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._linalg import _span_of
-from .errors import InternalInconsistency, NotPiSystem, OracleTooShort
+from .errors import InternalInconsistency, NotPiSystem
 from .gcm import GCM, TypeTag, bilinear_form, classify, norm
 from .lattice import RootVec, Value
-from .roots import MultTable, descend
+from .roots import descend
 
 __all__ = ["PiSystem", "make_pi_system", "pi_image", "classify_pi_type"]
 
@@ -32,29 +32,17 @@ class PiSystem(Value):
         return self.induced.entries
 
 
-def make_pi_system(g: GCM, roots: list[RootVec], table: MultTable | None = None) -> PiSystem:
+def make_pi_system(g: GCM, roots: list[RootVec]) -> PiSystem:
     """Validate the candidate set and package it with its induced GCM.
 
     Members and their differences are decided by reflection descent, so no
-    multiplicity table is needed or built.  A given table is still checked
-    against its promise: it must be for g and reach twice the largest
-    candidate height, or OracleTooShort is raised; it is never read.
+    multiplicity table is needed or built.
     """
-    if table is not None and table.gcm is not g and table.gcm != g:
-        raise ValueError("oracle table was built for a different GCM")
     if not roots:
         raise NotPiSystem("a pi-system must contain at least one root")
     for k, b in enumerate(roots):
         if len(b.coeffs) != g.n:
             raise ValueError(f"member {k + 1} has rank {len(b.coeffs)}, GCM rank is {g.n}")
-    hmax = max(b.height for b in roots)
-    if table is not None and table.height < 2 * hmax:
-        raise OracleTooShort(
-            f"oracle reaches height {table.height}, need {2 * hmax} "
-            f"(twice the largest member height {hmax})",
-            table_height=table.height,
-            needed=2 * hmax,
-        )
     seen = set()
     for k, b in enumerate(roots):
         if b in seen:

@@ -156,9 +156,7 @@ def test_criterion_6_exceptional_triples(algebra):
 def test_criterion_7_affine_obstruction_and_center(algebra):
     with criterion(7, "affine heisenberg"):
         g = validate_gcm(A1_AFFINE)
-        sigma = make_pi_system(
-            g, [rootvec((1, 0)), rootvec((0, 1))], peterson_multiplicities(g, 2)
-        )
+        sigma = make_pi_system(g, [rootvec((1, 0)), rootvec((0, 1))])
         with pytest.raises(SingularB):
             build_triple(sigma)
         alg = algebra(A1_AFFINE, 6)

@@ -82,13 +82,15 @@ def test_pisys_positive_and_negative(capsys):
     assert data["reason"]
 
 
-def test_pisys_oracle_height_makes_no_table(capsys, peterson_calls):
-    # a given oracle is checked against its height and never read, so even a
-    # tall one costs nothing and changes nothing
+def test_pisys_makes_no_table(capsys, peterson_calls):
+    # members are decided by descent, and the command takes no oracle
     argv = ("pisys", "--gcm-inline", H3_INLINE, "--roots", "[[1,0],[0,1]]")
-    code, out, _ = run(capsys, *argv, "--oracle-height", "100000")
-    assert code == 0 and peterson_calls == []
-    assert run(capsys, *argv)[:2] == (0, out)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out_json(out)["pi_system"] is True
+    assert peterson_calls == []
+    code, out, err = run(capsys, *argv, "--oracle-height", "5")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --oracle-height 5" in err
 
 
 def test_sl2_from_slice(capsys):
@@ -178,6 +180,19 @@ def test_rank2_families(capsys):
     data = out_json(out)
     assert data["LL"] == [[1, 0], [4, 5]]
     assert data["SU"] == [[0, 1], [1, 4]]
+
+
+@pytest.mark.parametrize("a, b", [(2, 2), (1, 4)])
+def test_rank2_below_the_hyperbolic_range_is_a_domain_error(capsys, a, b):
+    # ab = 4: every action refuses the pair the same way
+    slice_ = ("--word", "1,2", "--tau", "1,1", "-d", "1")
+    for action, extra in (("sequences", ()), ("families", ()),
+                          ("classify", slice_), ("triple", slice_)):
+        code, out, err = run(capsys, "rank2", "--a", str(a), "--b", str(b), action, *extra)
+        assert code == 1 and out == "", action
+        payload = json.loads(err.splitlines()[-1])
+        assert payload["error"] == "not_hyperbolic", action
+        assert payload["context"] == {"product": 4}, action
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
@@ -289,12 +304,6 @@ def test_negative_heights_are_usage_errors(capsys):
     code, out, err = run(capsys, "roots", "--gcm-inline", H3_INLINE, "--height", "-2")
     assert code == 2 and out == ""
     assert err.splitlines()[-1] == "kmjm: error: --height must be >= 0, got -2"
-    code, out, err = run(
-        capsys, "pisys", "--gcm-inline", H3_INLINE, "--roots", "[[1,0]]",
-        "--oracle-height", "-1",
-    )
-    assert code == 2 and out == ""
-    assert err.splitlines()[-1] == "kmjm: error: --oracle-height must be >= 0, got -1"
 
 
 def test_sl2_negative_height_is_a_usage_error(capsys):
@@ -321,17 +330,9 @@ def test_sl2_height_zero_skips_realization(capsys):
 
 
 def test_height_zero_is_unchanged(capsys):
-    # an empty table: no roots, and an oracle too short for any member
+    # an empty table: no roots
     code, out, _ = run(capsys, "roots", "--gcm-inline", H3_INLINE, "--height", "0")
     assert code == 0 and out_json(out) == []
-    code, out, err = run(
-        capsys, "pisys", "--gcm-inline", H3_INLINE, "--roots", "[[1,0]]",
-        "--oracle-height", "0",
-    )
-    assert code == 1 and out == ""
-    payload = json.loads(err.splitlines()[-1])
-    assert payload["error"] == "oracle_too_short"
-    assert payload["context"] == {"table_height": 0, "needed": 2}
 
 
 def test_config_height_zero_is_a_height(capsys, tmp_path):
@@ -467,7 +468,7 @@ _HELP_DIGESTS = {
     "roots": "a47039d9757a0df8509aabd4d24bcd32b9913c48393fd86e4bdf7edaf3bdb63b",
     "weyl": "7b448b3c148498213c0fde054f19d4194427a85209e7fb76a1c7ae3edd687ae0",
     "grade": "24c54e078d1f91513d33f9ca956ef1f7bf3172b7363afb1c6020499c008cb1c3",
-    "pisys": "f9ee63c009ce20b530222ec4dbe02fe3761a5a772377ba8fd0cc13761d986f81",
+    "pisys": "20731ffbe2e646f465d3a1f14662de95df740958ae6c0b36f9d255bf2eb6ea77",
     "sl2": "f3b953379fb4afe62b348df7936347b6ac5207d143defb03ed108a9a462d0f1e",
     "realize": "ff7a551fb2a79e3571806e6bf62bb6aad05fb43c3f2715382e38a7603d612444",
     "rank2": "d2664e1535d24b49e6b0b113f7e468d6dfba2b16a78dd6c8f696b131e6980ae1",

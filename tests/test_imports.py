@@ -15,12 +15,12 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 HEAVY = ("kmjm.realize", "kmjm.sl2", "kmjm.rank2", "kmjm.sweeps")
 
 # the public names of `kmjm`: those it had before its realization layer became
-# lazy, and the error EmptySlice
+# lazy, less OracleTooShort (nothing raises it), and the error EmptySlice
 PUBLIC = {
     "AlgElement", "Coweight", "DegenerateDenominator", "EmptySlice", "GCM",
     "HeightOutOfRange", "InternalInconsistency", "IntersectionVerdict", "KmjmError", "MultTable",
     "NotDominant", "NotGCM", "NotHyperbolic", "NotPiSystem", "NotRealRoot",
-    "NotReduced", "NotSymmetrizable", "OracleTooShort", "PiSystem", "Rank2Label",
+    "NotReduced", "NotSymmetrizable", "PiSystem", "Rank2Label",
     "RealizedTriple", "ResourceCap", "RootVec", "SL2Triple", "SUITES", "SingularB",
     "SuiteReport", "SweepConfig", "TruncatedAlgebra", "TruncationAmbiguous",
     "TypeTag", "WeylWord", "ZeroElement", "apply_word", "b_seq", "bilinear_form",

@@ -2,51 +2,62 @@ import pytest
 
 from conftest import A2, A1_AFFINE, H51
 from kmjm import (
+    InternalInconsistency,
     NotPiSystem,
-    OracleTooShort,
     make_pi_system,
-    peterson_multiplicities,
     rootvec,
     validate_gcm,
 )
 from kmjm.pisystem import classify_pi_type, pi_image
 
 
-def test_simple_roots_reproduce_cartan_matrix(oracle):
+def test_simple_roots_reproduce_cartan_matrix():
     g = validate_gcm(A2)
-    ps = make_pi_system(g, [rootvec((1, 0)), rootvec((0, 1))], oracle(A2, 8))
+    ps = make_pi_system(g, [rootvec((1, 0)), rootvec((0, 1))])
     assert ps.size == 2
     assert ps.b_matrix == ((2, -1), (-1, 2))
     assert classify_pi_type(ps).kind == "finite"
 
 
-def test_affine_pi_system_is_allowed(oracle):
+def test_affine_pi_system_is_allowed():
     # both simple roots of affine A1: a valid pi-system of affine type
     g = validate_gcm(A1_AFFINE)
-    ps = make_pi_system(g, [rootvec((1, 0)), rootvec((0, 1))], oracle(A1_AFFINE, 8))
+    ps = make_pi_system(g, [rootvec((1, 0)), rootvec((0, 1))])
     assert ps.b_matrix == ((2, -2), (-2, 2))
     assert classify_pi_type(ps).kind == "affine"
 
 
-def test_difference_of_members_must_not_be_root(oracle):
+def test_difference_of_members_must_not_be_root():
     g = validate_gcm(A2)
     with pytest.raises(NotPiSystem):
-        make_pi_system(g, [rootvec((1, 0)), rootvec((1, 1))], oracle(A2, 8))
+        make_pi_system(g, [rootvec((1, 0)), rootvec((1, 1))])
 
 
-def test_rejects_empty_and_repeats(oracle):
+def test_rejects_empty_and_repeats():
     g = validate_gcm(A2)
     with pytest.raises(NotPiSystem):
-        make_pi_system(g, [], oracle(A2, 8))
+        make_pi_system(g, [])
     with pytest.raises(NotPiSystem):
-        make_pi_system(g, [rootvec((1, 0)), rootvec((1, 0))], oracle(A2, 8))
+        make_pi_system(g, [rootvec((1, 0)), rootvec((1, 0))])
 
 
-def test_oracle_must_cover_twice_the_height():
+def test_dependent_members_are_rejected():
+    # four real roots whose pairwise differences are not roots, in rank 3
+    g = validate_gcm([[2, -2, 0], [-1, 2, -1], [0, -2, 2]])
+    roots = [rootvec(c) for c in ((0, 0, 1), (1, 0, 0), (1, 2, 2), (2, 2, 1))]
+    with pytest.raises(NotPiSystem, match="^members are linearly dependent$"):
+        make_pi_system(g, roots)
+
+
+def test_positive_off_diagonal_is_an_inconsistency(monkeypatch):
+    # a descent that calls every positive vector real lets (1,0), (1,1) past
+    # the difference test; the induced matrix then catches the positive pairing
+    monkeypatch.setattr(
+        "kmjm.pisystem.descend", lambda g, v: "real" if v.is_positive else None
+    )
     g = validate_gcm(A2)
-    short = peterson_multiplicities(g, 3)
-    with pytest.raises(OracleTooShort):
-        make_pi_system(g, [rootvec((1, 1))], short)
+    with pytest.raises(InternalInconsistency, match=r"positive off-diagonal at \(1,2\)"):
+        make_pi_system(g, [rootvec((1, 0)), rootvec((1, 1))])
 
 
 _CANDIDATES = (
@@ -59,9 +70,9 @@ _CANDIDATES = (
 )
 
 
-def _outcome(g, roots, table=None):
+def _outcome(g, roots):
     try:
-        return make_pi_system(g, roots, table)
+        return make_pi_system(g, roots)
     except NotPiSystem as err:
         return str(err)
 
@@ -73,31 +84,21 @@ def test_no_table_means_no_peterson_call(peterson_calls):
     assert peterson_calls == []
 
 
-def test_given_table_is_checked_not_read():
-    # a given table of twice the height passes the guard, and the verdict is
-    # the one without a table
-    for matrix, coeffs in _CANDIDATES:
-        g = validate_gcm(matrix)
-        roots = [rootvec(c) for c in coeffs]
-        given = peterson_multiplicities(g, 2 * max(b.height for b in roots))
-        assert _outcome(g, roots, given) == _outcome(g, roots)
-
-
-def test_singleton_system(oracle):
+def test_singleton_system():
     g = validate_gcm(H51)
-    ps = make_pi_system(g, [rootvec((1, 4))], oracle(H51, 12))
+    ps = make_pi_system(g, [rootvec((1, 4))])
     assert ps.size == 1
     assert ps.b_matrix == ((2,),)
     assert classify_pi_type(ps).kind == "finite"
 
 
-def test_pi_image(oracle):
+def test_pi_image():
     g = validate_gcm(A2)
-    ps = make_pi_system(g, [rootvec((1, 0)), rootvec((0, 1))], oracle(A2, 8))
+    ps = make_pi_system(g, [rootvec((1, 0)), rootvec((0, 1))])
     assert pi_image(ps, rootvec((1, 1))) == rootvec((1, 1))
 
 
-def test_wrong_rank_rejected(oracle):
+def test_wrong_rank_rejected():
     g = validate_gcm(A2)
     with pytest.raises(ValueError):
-        make_pi_system(g, [rootvec((1, 0, 0))], oracle(A2, 8))
+        make_pi_system(g, [rootvec((1, 0, 0))])

@@ -33,9 +33,9 @@ def test_solve_mu_singular():
         solve_mu(((2, -2), (-2, 2)))
 
 
-def test_build_triple_simple_roots(oracle):
+def test_build_triple_simple_roots():
     g = validate_gcm(A2)
-    ps = make_pi_system(g, [rootvec((1, 0)), rootvec((0, 1))], oracle(A2, 8))
+    ps = make_pi_system(g, [rootvec((1, 0)), rootvec((0, 1))])
     triple = build_triple(ps)
     assert triple.coeffs == (Fraction(1), Fraction(1))
     assert triple.mu == (Fraction(2), Fraction(2))
@@ -43,28 +43,28 @@ def test_build_triple_simple_roots(oracle):
     assert verify_symbolic(triple)
 
 
-def test_build_triple_rejects_zero_or_miscounted_coeffs(oracle):
+def test_build_triple_rejects_zero_or_miscounted_coeffs():
     g = validate_gcm(A2)
-    ps = make_pi_system(g, [rootvec((1, 0)), rootvec((0, 1))], oracle(A2, 8))
+    ps = make_pi_system(g, [rootvec((1, 0)), rootvec((0, 1))])
     with pytest.raises(ZeroElement):
         build_triple(ps, coeffs=(1, 0))
     with pytest.raises(ValueError):
         build_triple(ps, coeffs=(1,))
 
 
-def test_realize_principal_a2(algebra, oracle):
+def test_realize_principal_a2(algebra):
     g = validate_gcm(A2)
-    ps = make_pi_system(g, [rootvec((1, 0)), rootvec((0, 1))], oracle(A2, 8))
+    ps = make_pi_system(g, [rootvec((1, 0)), rootvec((0, 1))])
     triple = build_triple(ps, coeffs=(2, 3))
     alg = algebra(A2, 4)
     assert verify_realized(triple, alg)
     assert verify_triple_elements(alg, realize_triple(triple, alg))
 
 
-def test_realize_tall_singleton(algebra, oracle):
+def test_realize_tall_singleton(algebra):
     g = validate_gcm(H51)
     beta = rootvec((1, 4))
-    ps = make_pi_system(g, [beta], oracle(H51, 12))
+    ps = make_pi_system(g, [beta])
     triple = build_triple(ps)
     # h is pinned by the grading: beta(h) = 2
     assert triple.h_coords == (Fraction(5), Fraction(4))
@@ -100,9 +100,9 @@ def test_realize_falls_back_per_member():
         assert rt.e == 2 * moved + 3 * alg.positive_basis(high)[0]
 
 
-def test_affine_simples_have_singular_b(oracle):
+def test_affine_simples_have_singular_b():
     g = validate_gcm(A1_AFFINE)
-    ps = make_pi_system(g, [rootvec((1, 0)), rootvec((0, 1))], oracle(A1_AFFINE, 8))
+    ps = make_pi_system(g, [rootvec((1, 0)), rootvec((0, 1))])
     with pytest.raises(SingularB):
         build_triple(ps)
 

@@ -388,10 +388,10 @@ def _shared_slice(config):
 def _fail_pi_system_on(monkeypatch, matrix, roots):
     real = sweeps.make_pi_system
 
-    def patched(g, members, table=None):
+    def patched(g, members):
         if g.entries == _gcm(matrix).entries and tuple(members) == roots:
             raise NotPiSystem("injected rejection", members=len(members))
-        return real(g, members, table)
+        return real(g, members)
 
     monkeypatch.setattr(sweeps, "make_pi_system", patched)
 
@@ -503,9 +503,9 @@ def test_each_distinct_slice_is_checked_once(monkeypatch):
     made, realized = [], []
     real_make, real_verify = sweeps.make_pi_system, sl2.verify_realized
 
-    def spy_make(g, roots, table=None):
+    def spy_make(g, roots):
         made.append((g.entries, tuple(roots)))
-        return real_make(g, roots, table)
+        return real_make(g, roots)
 
     def spy_verify(triple, alg):
         realized.append((alg.gcm.entries, tuple(triple.sigma.roots), triple.coeffs))
