@@ -17,7 +17,9 @@ Only the exceptional repair realizes anything; it imports ``realize`` and
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import islice, pairwise
 from typing import TYPE_CHECKING
 
 from .errors import InternalInconsistency, NotHyperbolic, ZeroElement
@@ -85,38 +87,60 @@ class IntersectionVerdict(Value):
         return self.kind in ("ExceptionalI", "ExceptionalII")
 
 
-def _require_rank2_hyperbolic(g: GCM):
-    if g.n != 2:
-        raise NotHyperbolic(f"matrix has rank {g.n}, the closed forms need rank 2", rank=g.n)
-    product = g.entries[0][1] * g.entries[1][0]
-    if product < 5:
-        raise NotHyperbolic(
-            f"matrix is not hyperbolic: off-diagonal product {product} < 5", product=product
-        )
-
-
 def ab_of(g: GCM) -> tuple[int, int]:
     """The pair (a, b) with a = -A_21 and b = -A_12, after the rank-2 check."""
-    _require_rank2_hyperbolic(g)
-    return -g.entries[1][0], -g.entries[0][1]
+    if g.n != 2:
+        raise NotHyperbolic(f"matrix has rank {g.n}, the closed forms need rank 2", rank=g.n)
+    a, b = -g.entries[1][0], -g.entries[0][1]
+    if a * b < 5:
+        raise NotHyperbolic(
+            f"matrix is not hyperbolic: off-diagonal product {a * b} < 5", product=a * b
+        )
+    return a, b
 
 
 def _swap_gcm(g: GCM) -> GCM:
     return validate_gcm([[2, g.entries[1][0]], [g.entries[0][1], 2]])
 
 
-def b_seq(a: int, n: int) -> int:
-    """n-th term of b_0 = 0, b_1 = 1, b_n = a*b_{n-1} - b_{n-2} (symmetric case)."""
+def _b_terms(a: int) -> Iterator[int]:
+    # b_0, b_1, ... with no end; the input is checked at the call
     if a < 3:
         raise ValueError(f"the symmetric family needs a >= 3 (a^2 >= 5), got a = {a}")
+
+    def terms():
+        prev, cur = 0, 1
+        while True:
+            yield prev
+            prev, cur = cur, a * cur - prev
+
+    return terms()
+
+
+def _gamma_eta_terms(a: int, b: int) -> Iterator[tuple[int, int]]:
+    # (gamma_j, eta_j) for j = 0, 1, ... with no end; the input is checked
+    # at the call
+    if a * b < 5:
+        raise ValueError(f"need ab >= 5, got ab = {a * b}")
+    if a < 1 or b < 1:
+        raise ValueError(f"need a, b >= 1, got (a, b) = ({a}, {b})")
+
+    def terms():
+        gam, eta = 0, 1
+        while True:
+            yield gam, eta
+            gam = eta - gam
+            eta = a * b * gam - eta
+
+    return terms()
+
+
+def b_seq(a: int, n: int) -> int:
+    """n-th term of b_0 = 0, b_1 = 1, b_n = a*b_{n-1} - b_{n-2} (symmetric case)."""
+    terms = _b_terms(a)
     if n < 0:
         raise ValueError("sequence index must be nonnegative")
-    prev, cur = 0, 1
-    if n == 0:
-        return 0
-    for _ in range(n - 1):
-        prev, cur = cur, a * cur - prev
-    return cur
+    return next(islice(terms, n, None))
 
 
 def gamma_eta(a: int, b: int, j: int) -> tuple[int, int]:
@@ -126,35 +150,21 @@ def gamma_eta(a: int, b: int, j: int) -> tuple[int, int]:
     The closed one-sequence recurrence X_j = (ab-2)X_{j-1} - X_{j-2} is a
     consequence and is tested as a property, never used to compute.
     """
-    if a * b < 5:
-        raise ValueError(f"need ab >= 5, got ab = {a * b}")
+    terms = _gamma_eta_terms(a, b)
     if j < 0:
         raise ValueError("sequence index must be nonnegative")
-    gam, eta = 0, 1
-    for _ in range(j):
-        gam, eta = eta - gam, a * b * (eta - gam) - eta
-    return gam, eta
+    return next(islice(terms, j, None))
 
 
 def _b_seq_list(a: int, count: int) -> list[int]:
-    # b_0..b_{count-1} in one pass
-    if a < 3:
-        raise ValueError(f"the symmetric family needs a >= 3 (a^2 >= 5), got a = {a}")
-    out = [0, 1][:count]
-    while len(out) < count:
-        out.append(a * out[-1] - out[-2])
-    return out
+    # b_0..b_{count-1}
+    return list(islice(_b_terms(a), count))
 
 
 def _gamma_eta_lists(a: int, b: int, count: int) -> tuple[list[int], list[int]]:
-    # gamma_0..gamma_count and eta_0..eta_count in one pass
-    if a * b < 5:
-        raise ValueError(f"need ab >= 5, got ab = {a * b}")
-    gams, etas = [0], [1]
-    for _ in range(count):
-        gams.append(etas[-1] - gams[-1])
-        etas.append(a * b * gams[-1] - etas[-1])
-    return gams, etas
+    # gamma_0..gamma_count and eta_0..eta_count
+    terms = list(islice(_gamma_eta_terms(a, b), count + 1))
+    return [gam for gam, _ in terms], [eta for _, eta in terms]
 
 
 def family_root(g: GCM, label: Rank2Label) -> RootVec:
@@ -163,13 +173,7 @@ def family_root(g: GCM, label: Rank2Label) -> RootVec:
     For a >= b: LL_j = eta_j*a1 + a*gamma_j*a2, LU_j = eta_j*a1 + a*gamma_{j+1}*a2,
     SU_j = b*gamma_j*a1 + eta_j*a2, SL_j = b*gamma_{j+1}*a1 + eta_j*a2.
     """
-    a, b = ab_of(g)
-    if a < b:
-        sw = family_root(_swap_gcm(g), label)
-        return RootVec((sw.coeffs[1], sw.coeffs[0]))
-    gj, ej = gamma_eta(a, b, label.j)
-    gj1, _ = gamma_eta(a, b, label.j + 1)
-    return _member(label.family, a, b, gj, gj1, ej)
+    return _family_root_lists(g, 1, label.j)[label.family][0]
 
 
 def _member(family: str, a: int, b: int, gj: int, gj1: int, ej: int) -> RootVec:
@@ -183,16 +187,15 @@ def _member(family: str, a: int, b: int, gj: int, gj1: int, ej: int) -> RootVec:
     return RootVec((b * gj1, ej))  # SL
 
 
-def _family_root_lists(g: GCM, count: int) -> dict[str, list[RootVec]]:
-    # family_root at j = 0..count-1, per family, from one pass of the
-    # sequences
+def _family_root_lists(g: GCM, count: int, j: int = 0) -> dict[str, list[RootVec]]:
+    # family_root at j..j+count-1, per family, from one pass of the sequences
     a, b = ab_of(g)
     if a < b:
-        swapped = _family_root_lists(_swap_gcm(g), count)
+        swapped = _family_root_lists(_swap_gcm(g), count, j)
         return {fam: [RootVec((r.coeffs[1], r.coeffs[0])) for r in roots]
                 for fam, roots in swapped.items()}
-    gams, etas = _gamma_eta_lists(a, b, count)
-    return {fam: [_member(fam, a, b, gams[j], gams[j + 1], etas[j]) for j in range(count)]
+    terms = list(islice(_gamma_eta_terms(a, b), j, j + count + 1))
+    return {fam: [_member(fam, a, b, gj, gj1, ej) for (gj, ej), (gj1, _) in pairwise(terms)]
             for fam in _FAMILIES}
 
 
@@ -223,10 +226,12 @@ class InterleavingReport(Value):
     """Outcome of the exact chain checks up to index J.
 
     case "a" (a > b > 1) verifies four chains: both sequences strictly
-    increasing, and eta interleaved with b*gamma and with a*gamma.  case "b"
-    (a > b = 1) verifies the two monotone chains plus the shifted chain
-    0 = gamma_0 < eta_0 = gamma_1 < gamma_2 < eta_1 < gamma_3 < ... (with the
-    equality) and the chain 0 < eta_0 < eta_1 < a*gamma_1 < eta_2 < a*gamma_2 < ...
+    increasing up to index J, and eta interleaved with s*gamma for s = b, a as
+    0 = s*gamma_0 < eta_0 < s*gamma_1 < eta_1 < ... < s*gamma_J < eta_J.  case
+    "b" (a > b = 1) verifies the two monotone chains plus the shifted chain
+    0 = gamma_0 < eta_0 = gamma_1 < gamma_2 < eta_1 < gamma_3 < ... < eta_J < gamma_{J+2}
+    and the chain 0 < eta_0 < eta_1 < a*gamma_1 < eta_2 < ... < a*gamma_J < eta_{J+1}.
+    first_violation names the first break, in chain order.
     """
 
     __slots__ = ("a", "b", "J", "case", "chains", "ok", "first_violation")
@@ -237,72 +242,65 @@ class InterleavingReport(Value):
 
 
 def check_interleavings(a: int, b: int, J: int) -> InterleavingReport:
-    if a * b < 5:
-        raise ValueError(f"ab = {a * b} is below the hyperbolic range (need ab >= 5)")
+    terms = _gamma_eta_terms(a, b)
     if not a > b:
         raise ValueError("orientation a > b required; swap the arguments by symmetry")
     if J < 2:
         raise ValueError("J must be at least 2")
-    gam, eta = _gamma_eta_lists(a, b, J + 2)
-    case = "b" if b == 1 else "a"
-    checks: list[tuple[str, bool, str]] = []
+    gam, eta = zip(*islice(terms, J + 3))
+    G = [(f"gamma_{j}", x) for j, x in enumerate(gam)]
+    E = [(f"eta_{j}", x) for j, x in enumerate(eta)]
 
-    for j in range(J):
-        checks.append((
-            "gamma_monotone", gam[j] < gam[j + 1],
-            f"gamma_{j} = {gam[j]} !< gamma_{j + 1} = {gam[j + 1]}",
-        ))
-        checks.append((
-            "eta_monotone", eta[j] < eta[j + 1],
-            f"eta_{j} = {eta[j]} !< eta_{j + 1} = {eta[j + 1]}",
-        ))
+    def scaled(s):
+        return [(f"{s}*gamma_{j}", s * x) for j, x in enumerate(gam)]
 
-    if case == "a":
-        for scale, name in ((b, "b_gamma_interleave"), (a, "a_gamma_interleave")):
-            checks.append((name, scale * gam[0] == 0, f"{scale}*gamma_0 != 0"))
-            for j in range(J + 1):
-                checks.append((
-                    name, scale * gam[j] < eta[j],
-                    f"{scale}*gamma_{j} = {scale * gam[j]} !< eta_{j} = {eta[j]}",
-                ))
-                if j <= J - 1:
-                    checks.append((
-                        name, eta[j] < scale * gam[j + 1],
-                        f"eta_{j} = {eta[j]} !< {scale}*gamma_{j + 1} = {scale * gam[j + 1]}",
-                    ))
-        chains = ("gamma_monotone", "eta_monotone", "b_gamma_interleave", "a_gamma_interleave")
+    zero = ("0", 0)
+    chains = {"gamma_monotone": G[:J + 1], "eta_monotone": E[:J + 1]}
+    if b > 1:
+        case = "a"
+        chains["b_gamma_interleave"] = [zero, "=", *_interleave(scaled(b)[:J + 1], E[:J + 1])]
+        chains["a_gamma_interleave"] = [zero, "=", *_interleave(scaled(a)[:J + 1], E[:J + 1])]
     else:
-        name = "gamma_eta_shifted"
-        checks.append((name, gam[0] == 0, "gamma_0 != 0"))
-        checks.append((name, 0 < eta[0], "eta_0 is not positive"))
-        checks.append((name, eta[0] == gam[1], f"eta_0 = {eta[0]} != gamma_1 = {gam[1]}"))
-        for j in range(1, J + 1):
-            checks.append((
-                name, gam[j + 1] < eta[j],
-                f"gamma_{j + 1} = {gam[j + 1]} !< eta_{j} = {eta[j]}",
-            ))
-            checks.append((
-                name, eta[j] < gam[j + 2],
-                f"eta_{j} = {eta[j]} !< gamma_{j + 2} = {gam[j + 2]}",
-            ))
-        name = "a_gamma_interleave"
-        checks.append((name, 0 < eta[0], "eta_0 is not positive"))
-        checks.append((name, eta[0] < eta[1], f"eta_0 = {eta[0]} !< eta_1 = {eta[1]}"))
-        for j in range(1, J + 1):
-            checks.append((
-                name, eta[j] < a * gam[j],
-                f"eta_{j} = {eta[j]} !< a*gamma_{j} = {a * gam[j]}",
-            ))
-            checks.append((
-                name, a * gam[j] < eta[j + 1],
-                f"a*gamma_{j} = {a * gam[j]} !< eta_{j + 1} = {eta[j + 1]}",
-            ))
-        chains = ("gamma_monotone", "eta_monotone", "gamma_eta_shifted", "a_gamma_interleave")
+        case = "b"
+        chains["gamma_eta_shifted"] = [
+            zero, "=", G[0], E[0], "=", G[1], *_interleave(G[2:J + 3], E[1:J + 1])
+        ]
+        chains["a_gamma_interleave"] = [zero, E[0], *_interleave(E[1:J + 2], scaled(a)[1:J + 1])]
+    for name, chain in chains.items():
+        broken = _first_break(chain)
+        if broken:
+            return InterleavingReport(a, b, J, case, tuple(chains), False, f"{name}: {broken}")
+    return InterleavingReport(a, b, J, case, tuple(chains), True)
 
-    for name, good, msg in checks:
-        if not good:
-            return InterleavingReport(a, b, J, case, chains, False, f"{name}: {msg}")
-    return InterleavingReport(a, b, J, case, chains, True)
+
+def _interleave(xs: list, ys: list) -> list:
+    # xs[0], ys[0], xs[1], ys[1], ...; xs has as many items as ys, or one more
+    out = [None] * (len(xs) + len(ys))
+    out[::2], out[1::2] = xs, ys
+    return out
+
+
+def _first_break(chain: list) -> str | None:
+    # the first neighbour pair of (label, value) terms that does not strictly
+    # increase, or is not equal across an "=" between them
+    prev, equal = chain[0], False
+    for term in chain[1:]:
+        if term == "=":
+            equal = True
+        elif prev[1] == term[1] if equal else prev[1] < term[1]:
+            prev, equal = term, False
+        else:
+            return f"{_shown(*prev)} {'!=' if equal else '!<'} {_shown(*term)}"
+    return None
+
+
+def _shown(label: str, value: int) -> str:
+    # str(int) refuses a term past the interpreter's digit limit (3.11+)
+    try:
+        text = str(value)
+    except ValueError:
+        return f"{label} ({value.bit_length()} bits)"
+    return text if text == label else f"{label} = {text}"
 
 
 # ---------------------------------------------------------------------------

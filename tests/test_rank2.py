@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -25,6 +26,7 @@ from kmjm import (
     simple_root,
     validate_gcm,
 )
+from kmjm import rank2
 from kmjm.rank2 import _b_seq_list, _family_root_lists, _gamma_eta_lists, ab_of
 from kmjm.sl2 import verify_triple_elements
 
@@ -194,6 +196,75 @@ def test_check_interleavings():
         check_interleavings(3, 2, 1)
     with pytest.raises(ValueError):
         check_interleavings(2, 3, 10)  # wrong orientation
+
+
+def _perturb(monkeypatch, j, term):
+    # the sequences check_interleavings reads, with (gamma_j, eta_j) replaced
+    terms = rank2._gamma_eta_terms
+
+    def perturbed(a, b):
+        for i, t in enumerate(terms(a, b)):
+            yield term if i == j else t
+
+    monkeypatch.setattr(rank2, "_gamma_eta_terms", perturbed)
+
+
+# (3, 2): gamma = 0, 1, 4, 15, ..., eta = 1, 5, 19, 71, ...
+# (5, 1): gamma = 0, 1, 3, 8, ..., eta = 1, 4, 11, 29, ...
+@pytest.mark.parametrize("a, b, j, term, violation", [
+    (3, 2, 2, (100, 19), "gamma_monotone: gamma_2 = 100 !< gamma_3 = 15"),
+    (3, 2, 2, (4, 100), "eta_monotone: eta_2 = 100 !< eta_3 = 71"),
+    (3, 2, 1, (1, 10), "b_gamma_interleave: eta_1 = 10 !< 2*gamma_2 = 8"),
+    (3, 2, 0, (-1, 1), "b_gamma_interleave: 0 != 2*gamma_0 = -2"),
+    # eta_1 = a*gamma_1: only the strict comparison catches it
+    (3, 2, 1, (1, 3), "a_gamma_interleave: 3*gamma_1 = 3 !< eta_1 = 3"),
+    (5, 1, 1, (1, 9), "gamma_eta_shifted: eta_1 = 9 !< gamma_3 = 8"),
+    (5, 1, 1, (2, 4), "gamma_eta_shifted: eta_0 = 1 != gamma_1 = 2"),
+    (5, 1, 1, (1, 6), "a_gamma_interleave: eta_1 = 6 !< 5*gamma_1 = 5"),
+])
+def test_each_chain_can_be_the_first_violation(monkeypatch, a, b, j, term, violation):
+    _perturb(monkeypatch, j, term)
+    rep = check_interleavings(a, b, 6)
+    assert not rep.ok and rep.first_violation == violation
+    assert rep.case == ("a" if b > 1 else "b")
+
+
+def test_interleavings_past_the_int_to_str_digit_limit(monkeypatch):
+    # these terms pass the 4300 digits that str(int) allows by default on
+    # Python 3.11+: a check that holds formats nothing
+    assert check_interleavings(3, 2, 8000).ok
+    assert check_interleavings(40, 39, 1500).ok
+    # and the message of a break past the limit is still made
+    _perturb(monkeypatch, 8000, (gamma_eta(3, 2, 8000)[0], 0))
+    rep = check_interleavings(3, 2, 8000)
+    assert rep.first_violation.startswith("eta_monotone: eta_7999 ")
+    assert rep.first_violation.endswith(" !< eta_8000 = 0")
+
+
+def test_sequences_need_positive_a_and_b():
+    # ab >= 5 holds for both pairs, but neither is the pair of a Cartan matrix
+    with pytest.raises(ValueError, match="a, b >= 1"):
+        check_interleavings(-2, -3, 5)
+    with pytest.raises(ValueError, match="a, b >= 1"):
+        gamma_eta(-1, -5, 3)
+
+
+def test_per_index_terms_hold_a_bounded_number_of_terms():
+    # every earlier term kept would take tens of MiB at these indices
+    g = validate_gcm([[2, -5], [-1, 2]])  # a < b: family_root takes the swap
+    calls = (
+        lambda: b_seq(3, 20000),
+        lambda: gamma_eta(3, 3, 10000),
+        lambda: family_root(g, Rank2Label("SL", 10000)),
+    )
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_classify_single_and_empty():
