@@ -95,27 +95,46 @@ def validate_gcm(matrix: Sequence[Sequence[int]]) -> GCM:
     return GCM(entries=entries, symmetrizer=d)
 
 
+def _components(entries: tuple[tuple[int, ...], ...], idx) -> list[list[int]]:
+    # The connected components of the diagram on the 0-based indices idx, the
+    # package's one walk of it.  Each component is listed in the order a
+    # depth-first walk from its least index visits it: neighbours are pushed
+    # in increasing index and the last one pushed is taken first.
+    idx = sorted(idx)
+    seen = set()
+    comps = []
+    for start in idx:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = []
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j in idx:
+                if j not in seen and entries[i][j]:
+                    seen.add(j)
+                    stack.append(j)
+        comps.append(comp)
+    return comps
+
+
 def _symmetrizer(entries: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    # Propagate d along diagram edges (d_j = d_i * A_ij / A_ji), check cycles,
-    # then scale each connected component to minimal positive integers.
+    # Propagate d along diagram edges (d_j = d_i * A_ij / A_ji) in the order
+    # _components visits each component, checking every edge as it is met,
+    # then scale each component to minimal positive integers.
     n = len(entries)
     d: list[Fraction | None] = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        comp = [start]
-        queue = [start]
-        while queue:
-            i = queue.pop()
+    for comp in _components(entries, range(n)):
+        d[comp[0]] = Fraction(1)
+        for i in comp:
             for j in range(n):
                 if j == i or entries[i][j] == 0:
                     continue
                 val = d[i] * Fraction(entries[i][j], entries[j][i])
                 if d[j] is None:
                     d[j] = val
-                    comp.append(j)
-                    queue.append(j)
                 elif d[j] != val:
                     raise NotSymmetrizable(
                         f"cycle condition d_i A_ij = d_j A_ji fails at edge ({i + 1},{j + 1})",
@@ -128,28 +147,6 @@ def _symmetrizer(entries: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         for k, x in zip(comp, scaled):
             d[k] = Fraction(int(x) // g)
     return tuple(int(x) for x in d)
-
-
-def components(g: GCM) -> list[list[int]]:
-    """Connected components of the diagram, as sorted lists of 0-based indices."""
-    n = g.n
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = [s]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if not seen[j] and g.entries[i][j] != 0:
-                    seen[j] = True
-                    comp.append(j)
-                    queue.append(j)
-        comps.append(sorted(comp))
-    return comps
 
 
 def _classify_block(entries: tuple[tuple[int, ...], ...], idx: list[int]) -> str:
@@ -170,35 +167,32 @@ def _classify_block(entries: tuple[tuple[int, ...], ...], idx: list[int]) -> str
     return INDEFINITE
 
 
-def classify(g: GCM) -> TypeTag:
-    """Finite/affine/indefinite trichotomy (exact), with the rank-2 hyperbolic flag.
-
-    Decomposable matrices: finite iff every block is finite; affine iff all
-    blocks are finite-or-affine with at least one affine; else indefinite.
-    """
-    if g.n == 0:
-        return TypeTag(FINITE)
-    kinds = [_classify_block(g.entries, comp) for comp in components(g)]
+def _classify(entries: tuple[tuple[int, ...], ...], idx) -> TypeTag:
+    # The type of the principal submatrix on the 0-based indices idx, a
+    # principal submatrix of a validated GCM and so a GCM itself.  Rank 2 is
+    # indefinite exactly when A_12 * A_21 >= 5, the hyperbolic range.
+    kinds = [_classify_block(entries, sorted(comp)) for comp in _components(entries, idx)]
     if all(k == FINITE for k in kinds):
         kind = FINITE
     elif all(k in (FINITE, AFFINE) for k in kinds):
         kind = AFFINE
     else:
         kind = INDEFINITE
-    hyperbolic = False
-    if g.n == 2 and kind == INDEFINITE:
-        # rank-2: indefinite <=> A_12*A_21 >= 5, the hyperbolic range
-        hyperbolic = g.entries[0][1] * g.entries[1][0] >= 5
-    return TypeTag(kind, hyperbolic)
+    return TypeTag(kind, kind == INDEFINITE and len(idx) == 2)
+
+
+def classify(g: GCM) -> TypeTag:
+    """Finite/affine/indefinite trichotomy (exact), with the rank-2 hyperbolic flag.
+
+    Decomposable matrices: finite iff every block is finite; affine iff all
+    blocks are finite-or-affine with at least one affine; else indefinite.
+    """
+    return _classify(g.entries, range(g.n))
 
 
 def classify_principal(g: GCM, idx_1based: Sequence[int]) -> TypeTag:
     """classify() of the principal submatrix on the given 1-based index set."""
-    idx = sorted(i - 1 for i in idx_1based)
-    if not idx:
-        return TypeTag(FINITE)
-    sub = [[g.entries[i][j] for j in idx] for i in idx]
-    return classify(validate_gcm(sub))
+    return _classify(g.entries, {i - 1 for i in idx_1based})
 
 
 def symmetrized(g: GCM) -> list[list[int]]:

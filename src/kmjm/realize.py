@@ -14,18 +14,18 @@ alpha_i^v> b.  One pass of the elimination over the candidates, i descending
 and b in basis order, keeps the first independent ones as the basis of the
 degree and writes every other over the basis vectors before it.  That pass
 gives the raising matrices of ad e_i, and since each basis vector is one
-candidate, [b, e_i] = [e_i, -b], it gives the decomposition
-p = sum_i [e_i, y_i] too.  The rank is the graded dimension, found without
-the root multiplicity table and cross-checked against it at every degree: a
-mismatch means a bug in one of the two independent computations and is
-reported as InternalInconsistency rather than papered over.  The elimination
+candidate, p = [b, e_i], it records that source (i, b) too.  The rank is the
+graded dimension, found without the root multiplicity table and
+cross-checked against it at every degree: a mismatch means a bug in one of
+the two independent computations and is reported as InternalInconsistency
+rather than papered over.  The elimination
 is the package's one exact elimination, _Span in _linalg, fraction-free on
 integers, so a Fraction appears only in the coordinates it returns.
 
-The bracket of two positive basis vectors x and p = sum_i [e_i, y_i] needs
-no elimination: [x, [e_i, y]] = -[[e_i, x], y] + [e_i, [x, y]], where
-[e_i, x] and [e_i, .] are raising matrices and both brackets with y have a
-second argument one height lower.  Every degree this passes lies below the
+The bracket of two positive basis vectors x and p = [b, e_i] needs no
+elimination: [x, [b, e_i]] = [[e_i, x], b] - [e_i, [x, b]], where [e_i, x]
+and [e_i, .] are raising matrices and both brackets with b have a second
+argument one height lower.  Every degree this passes lies below the
 degree of [x, p], so the recursion stays inside the window.
 
 Degrees are built on first use: a bracket that needs one builds it after
@@ -45,8 +45,8 @@ for x in g_gamma, y in g_-gamma, where nu^-1(alpha_i) = d_i h_i for the
 symmetrizer d.  Per degree one Gram matrix G[k][l] = (p_k | mirror p_l) is
 kept, scaled by L = lcm(d) so that (e_i | f_i) = L / d_i is an integer; it
 follows from the degrees below by invariance,
-(p | [f_i, z]) = ([p, f_i] | z) = (T_i p | z), over the decomposition
-p = sum_i [e_i, y_i].
+(p | [f_i, z]) = ([p, f_i] | z) = (T_i p | z), with mirror [b, e_i] =
+[mirror b, f_i] for the source (i, b) of each basis vector.
 
 A mixed bracket is taken one homogeneous block at a time: each argument's
 positive and negative terms are grouped by degree, and each pair of blocks,
@@ -231,18 +231,19 @@ class _DegreeData:
     # lower[k][j] is T_j of the k-th basis vector as coordinates at
     # deg - alpha_j (at height one, T_i(e_i) = h_i, as coordinates {i: 1}
     # over the simple coroots, 0-based).  up[i][l] is [e_i, b_l] over the
-    # basis, b_l the l-th basis vector at deg - alpha_i, and decomp writes
-    # each basis vector as sum_i [e_i, y_i]; both come with the basis.  gram
+    # basis, b_l the l-th basis vector at deg - alpha_i, and source[k] = (i, l)
+    # says the k-th basis vector is the candidate [b_l, e_i]; both come with
+    # the basis.  gram
     # is the scaled invariant form, filled by the first mixed bracket that
     # reads it, and gram_span the span of its rows, made by the first solve
     # at this degree (None until then).
-    __slots__ = ("mult", "lower", "up", "decomp", "gram", "gram_span")
+    __slots__ = ("mult", "lower", "up", "source", "gram", "gram_span")
 
     def __init__(self):
         self.mult = 0
         self.lower = []
         self.up = {}
-        self.decomp = []
+        self.source = []
         self.gram = None
         self.gram_span = None
 
@@ -345,7 +346,7 @@ class TruncatedAlgebra:
                     if got is None:
                         got = {len(data.lower): 1}
                         data.lower.append(t)
-                        data.decomp.append([(i, {l: -1})])
+                        data.source.append((i, l))
                     up.append({k: -v for k, v in got.items()})
         rank = len(data.lower)
         if rank != expected:
@@ -424,9 +425,6 @@ class TruncatedAlgebra:
     def negative_basis(self, beta: RootVec) -> list[AlgElement]:
         return [self._mirror_elt(x) for x in self.positive_basis(beta)]
 
-    def multiplicity(self, beta: RootVec) -> int:
-        return self.table.multiplicity(beta)
-
     def _mirror_elt(self, x: AlgElement) -> AlgElement:
         out = {}
         for k, v in x.terms.items():
@@ -497,27 +495,27 @@ class TruncatedAlgebra:
         elif sum(db) == 1:
             res = {c: -v for c, v in self._degree(deg).up[db.index(1)][k].items()}
         else:
-            # p_l = sum_i [e_i, y] and [x, [e_i, y]] = -[[e_i, x], y] + [e_i, [x, y]],
-            # reading ad e_i from the raising matrices at da + alpha_i and at
-            # deg: every degree in between lies below deg, so nothing is cut
+            # p_l = [b_m, e_i] for its source (i, m), and [x, [b, e_i]] =
+            # [[e_i, x], b] - [e_i, [x, b]], reading ad e_i from the raising
+            # matrices at da + alpha_i and at deg: every degree in between
+            # lies below deg, so nothing is cut
             top = self._degree(deg).up
+            i, m = self._degree(db).source[l]
+            dx, dy = _plus(da, i), _minus(db, i)
             res = {}
-            for i, y in self._degree(db).decomp[l]:
-                dx, dy = _plus(da, i), _minus(db, i)
-                ex = self._degree(dx).up[i][k] if self._mult(dx) else {}
-                for m, c in y.items():
-                    for s, v in ex.items():
-                        _add_scaled(res, -c * v, self._pp(dx, s, dy, m))
-                    for t, v in self._pp(da, k, dy, m).items():
-                        _add_scaled(res, c * v, top[i][t])
+            if self._mult(dx):
+                for s, v in self._degree(dx).up[i][k].items():
+                    _add_scaled(res, v, self._pp(dx, s, dy, m))
+            for t, v in self._pp(da, k, dy, m).items():
+                _add_scaled(res, -v, top[i][t])
         self._pp_cache[key] = res
         self._pp_cache[(db, l, da, k)] = {c: -v for c, v in res.items()}
         return res
 
     def _gram(self, deg):
-        """G[k][l] = L (p_k | mirror p_l) at deg.  With mirror p_l =
-        sum_i [f_i, mirror y_i] from the decomposition, G[k][l] =
-        sum_i (T_i p_k | mirror y_i), a form on the degrees below."""
+        """G[k][l] = L (p_k | mirror p_l) at deg.  With p_l = [b_j, e_i]
+        from its source (i, j), mirror p_l = [f_i, -mirror b_j] and G[k][l] =
+        -(T_i p_k | mirror b_j), a form on the degree below."""
         data = self._degree(deg)
         if data.gram is None:
             m = data.mult
@@ -525,14 +523,13 @@ class TruncatedAlgebra:
                 gram = [[self._form_unit // self.gcm.symmetrizer[deg.index(1)]]]
             else:
                 gram = [[0] * m for _ in range(m)]
-                for l, parts in enumerate(data.decomp):
-                    for i, y in parts:
-                        # the form of each basis vector below with mirror y
-                        w = [_dot(y, row) for row in self._gram(_minus(deg, i))]
-                        for k in range(m):
-                            t = data.lower[k].get(i)
-                            if t:
-                                gram[k][l] += _dot(t, w)
+                for l, (i, j) in enumerate(data.source):
+                    # the form of each basis vector below with -mirror b_j
+                    w = [-row[j] for row in self._gram(_minus(deg, i))]
+                    for k in range(m):
+                        t = data.lower[k].get(i)
+                        if t:
+                            gram[k][l] += _dot(t, w)
                 gram = [[_rational(v, 1) for v in row] for row in gram]  # ints stay int
             data.gram = gram
         return data.gram

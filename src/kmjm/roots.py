@@ -99,19 +99,6 @@ def _descent_step(g: GCM, v: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | N
     return None
 
 
-def _connected_support(g: GCM, v: tuple[int, ...]) -> bool:
-    support = [i for i, c in enumerate(v) if c]
-    reached = {support[0]}
-    stack = [support[0]]
-    while stack:
-        i = stack.pop()
-        for j in support:
-            if j not in reached and g.entries[i][j]:
-                reached.add(j)
-                stack.append(j)
-    return len(reached) == len(support)
-
-
 def descend(g: GCM, v: RootVec) -> str | None:
     """Whether v is a root, decided without a table: "real", "imaginary" or
     None for a non-root.
@@ -134,7 +121,8 @@ def descend(g: GCM, v: RootVec) -> str | None:
     while sum(cur) > 1:
         step = _descent_step(g, cur)
         if step is None:
-            return "imaginary" if _connected_support(g, cur) else None
+            support = [i for i, c in enumerate(cur) if c]
+            return "imaginary" if len(gcm_mod._components(g.entries, support)) == 1 else None
         cur = step[1]
         if min(cur) < 0:
             return None

@@ -1,7 +1,7 @@
 """Weyl group action: simple reflections on roots and coweights, inversion
-sets of reduced words, reducedness testing, and word reduction (an exchange-
-condition helper used by the CLI; the library surface rejects non-reduced
-words outright)."""
+sets of reduced words, reducedness testing, and word reduction (reduce_word,
+an exchange-condition helper exported for library callers; inversion_set
+rejects a non-reduced word outright)."""
 
 from __future__ import annotations
 

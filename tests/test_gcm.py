@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,17 +8,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import A2, A2_AFFINE, A1_AFFINE, B2, H3, H32, H51
+import kmjm.gcm
 from kmjm import (
     GCM,
+    Coweight,
     NotGCM,
     NotSymmetrizable,
     bilinear_form,
+    check_finite_grading,
     classify,
     norm,
     rootvec,
     validate_gcm,
 )
-from kmjm.gcm import classify_principal
+from kmjm.gcm import TypeTag, classify_principal
+from kmjm.roots import descend
 
 
 def test_symmetrizers():
@@ -94,6 +101,63 @@ def test_classify_principal_submatrix():
     assert classify_principal(g, [1]).kind == "finite"
     assert classify_principal(g, [1, 2]).kind == "finite"
     assert classify_principal(g, [1, 2, 3]).kind == "affine"
+
+
+def test_classify_principal_of_no_index_is_finite():
+    assert classify_principal(validate_gcm(H3), []) == TypeTag("finite")
+
+
+def test_type_questions_take_the_validated_matrix(monkeypatch):
+    # a principal submatrix of a GCM is a GCM, so neither question validates
+    # one again
+    def refuse(matrix):
+        raise AssertionError(f"validate_gcm({matrix!r}) called")
+
+    g = validate_gcm([[2, -3, 0], [-3, 2, -1], [0, -1, 2]])
+    monkeypatch.setattr(kmjm.gcm, "validate_gcm", refuse)
+    assert classify_principal(g, [1, 2]) == TypeTag("indefinite", True)
+    assert classify_principal(g, [3, 2]) == TypeTag("finite")
+    assert classify_principal(g, [1, 3]) == TypeTag("finite")
+    assert check_finite_grading(g, Coweight((1, 0, 0)))
+    assert not check_finite_grading(g, Coweight((0, 0, 1)))
+
+
+def _walk_digest(seed, count, vectors):
+    # md5 of everything the walk of the diagram decides, over seeded random
+    # matrices of rank 1-5: the symmetrizer, or the NotSymmetrizable message
+    # and context that names the first edge failing the cycle condition;
+    # classify; classify_principal on every index subset; and descend on
+    # random nonnegative vectors
+    rng = random.Random(seed)
+    h = hashlib.md5()
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        a = [[2] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            if rng.random() < 0.5:
+                a[i][j] = a[j][i] = 0
+            else:
+                a[i][j], a[j][i] = -rng.randint(1, 3), -rng.randint(1, 3)
+        try:
+            g = validate_gcm(a)
+        except NotSymmetrizable as err:
+            h.update(f"{a} {err} {err.context}\n".encode())
+            continue
+        h.update(f"{a} {g.symmetrizer} {classify(g)}\n".encode())
+        for r in range(n + 1):
+            for idx in itertools.combinations(range(1, n + 1), r):
+                h.update(f"{idx} {classify_principal(g, idx)}\n".encode())
+        for _ in range(vectors):
+            v = tuple(rng.randint(0, 4) for _ in range(n))
+            h.update(f"{v} {descend(g, rootvec(v))}\n".encode())
+    return h.hexdigest()
+
+
+def test_walk_verdicts_match_the_recorded_digest():
+    # recorded when the symmetrizer, components and descend each walked the
+    # diagram on their own; a breadth-first walk names other edges in the
+    # NotSymmetrizable messages and changes it
+    assert _walk_digest(1, 1500, 10) == "b386fb82ff0a1f1235fa6f92bbe49ea7"
 
 
 @given(st.integers(1, 4), st.integers(1, 4))

@@ -687,8 +687,8 @@ def _ref_bracket(alg, x, y, memo):
 
 def _ref_pn(alg, pk, nk, memo):
     # [p, n] by recursion, the route the invariant form replaced: with
-    # n = sum_i [f_i, z_i] and z_i the mirror of y_i in the decomposition,
-    # [x, [f_i, z]] = [[x, f_i], z] + [f_i, [x, z]]
+    # n = [f_i, z] for z = -mirror b_m, (i, m) the source of the basis vector
+    # n mirrors, [x, [f_i, z]] = [[x, f_i], z] + [f_i, [x, z]]
     key = (pk, nk)
     if key not in memo:
         deg = nk[1]
@@ -696,11 +696,10 @@ def _ref_pn(alg, pk, nk, memo):
             out = _ref_t_image(alg, pk, deg.index(1))
         else:
             x = AlgElement(alg, {pk: Fraction(1)})
-            out = alg.zero()
-            for i, y in alg._degree(deg).decomp[nk[2]]:
-                z = AlgElement(alg, {("n", _minus(deg, i), m): Fraction(v) for m, v in y.items()})
-                out = (out + _ref_bracket(alg, _ref_t_image(alg, pk, i), z, memo)
-                       + _ref_bracket(alg, alg.f(i + 1), _ref_bracket(alg, x, z, memo), memo))
+            i, m = alg._degree(deg).source[nk[2]]
+            z = AlgElement(alg, {("n", _minus(deg, i), m): Fraction(-1)})
+            out = (_ref_bracket(alg, _ref_t_image(alg, pk, i), z, memo)
+                   + _ref_bracket(alg, alg.f(i + 1), _ref_bracket(alg, x, z, memo), memo))
         memo[key] = out
     return memo[key]
 
@@ -788,15 +787,15 @@ def test_dense_mixed_blocks_match_the_basis_pairs(matrix, height):
 
 
 def test_degenerate_form_raises():
-    # a decomposition whose two basis vectors coincide makes the Gram matrix
-    # of their degree singular, and no mixed bracket that solves there is
+    # two basis vectors that name the same source make the Gram matrix of
+    # their degree singular, and no mixed bracket that solves there is
     # trusted: [x, n] with x at (2, 2, 1) and n at -(1, 1, 0) lands at
     # (1, 1, 1), whose form is inverted on that first solve
     alg = build_truncated(validate_gcm(A2_AFFINE), 5)
     deg = (1, 1, 1)
-    decomp = alg._degree(deg).decomp
-    assert len(decomp) == 2
-    decomp[1] = decomp[0]
+    source = alg._degree(deg).source
+    assert len(source) == 2
+    source[1] = source[0]
     x = alg.positive_basis(rootvec((2, 2, 1)))[0]
     n = alg.negative_basis(rootvec((1, 1, 0)))[0]
     for _ in range(2):  # a failed check leaves no span behind

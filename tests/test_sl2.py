@@ -20,6 +20,7 @@ from kmjm import (
     verify_triple_elements,
 )
 from kmjm.realize import truncated_on_demand
+from kmjm.sl2 import RealizedTriple, SL2Triple
 from kmjm.roots import coroot_coords
 
 
@@ -116,3 +117,26 @@ def test_heisenberg_center(algebra):
     for i in (1, 2):
         assert alg.bracket(z, alg.e(i)).is_zero()
         assert alg.bracket(z, alg.f(i)).is_zero()
+
+
+def test_each_triple_relation_fires_on_its_own():
+    # positive controls in A1 x A1, where [h_1, e_2] = [e_1, f_2] = 0: each
+    # triple breaks exactly one relation, and verification refuses it
+    alg = truncated_on_demand(validate_gcm([[2, 0], [0, 2]]), 1)
+    e1, e2, f1, f2, h1 = alg.e(1), alg.e(2), alg.f(1), alg.f(2), alg.h(1)
+    assert verify_triple_elements(alg, RealizedTriple(e1, h1, f1))
+    for e, f, broken in ((e1 + e2, f1, 0), (e1, f1 + f2, 1)):
+        held = [alg.bracket(h1, e) == 2 * e, alg.bracket(h1, f) == -2 * f,
+                alg.bracket(e, f) == h1]
+        assert held == [k != broken for k in range(3)]
+        assert not verify_triple_elements(alg, RealizedTriple(e, h1, f))
+
+
+def test_symbolic_check_fires_on_mu_alone():
+    # A2 on {alpha_1}: h = alpha_1^vee pairs to 2 with the member, but
+    # mu = (2,) gives B^T mu = (4,)
+    sigma = make_pi_system(validate_gcm(A2), [rootvec((1, 0))])
+    triple = build_triple(sigma)
+    assert (triple.mu, triple.h_coords) == ((1,), (1, 0))
+    assert verify_symbolic(triple)
+    assert not verify_symbolic(SL2Triple(sigma, triple.coeffs, (2,), triple.h_coords))

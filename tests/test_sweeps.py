@@ -9,7 +9,7 @@ import pytest
 from kmjm import Coweight, KmjmError, NotPiSystem, NotReduced, RootVec, WeylWord, simple_root
 from kmjm import rank2, realize, sl2, sweeps
 from kmjm._linalg import _span_of
-from kmjm.gcm import FINITE
+from kmjm.gcm import FINITE, TypeTag
 from kmjm.pisystem import classify_pi_type
 from kmjm.sweeps import (
     _POOL,
@@ -531,3 +531,70 @@ def test_regdomthm_holds_one_algebra_at_a_time(monkeypatch):
     assert SUITES["regdomthm"](SweepConfig()).ok
     assert len(built) == len({m for m, _, _ in _realized_draws(SweepConfig())})
     assert all(ref() is None for ref in built)
+
+
+# Positive controls: each verdict branch of a suite fires on an input made to
+# trip it, so a weakened check no longer passes as "0 failures".
+
+def _feed_grid(monkeypatch, items):
+    # the rank-2 suites draw their cases from _rank2_grid; give them these
+    # (a, b, word, tau, counts) items instead
+    def grid(pairs, tau_bound, max_len):
+        for a, b, word, tau, counts in items:
+            g = _gcm(sweeps._rank2_matrix(a, b))
+            w = WeylWord.of(word)
+            yield a, b, g, w, Coweight(tau), inversion_set(g, w), Counter(counts)
+
+    monkeypatch.setattr(sweeps, "_rank2_grid", grid)
+
+
+def test_symprop_reports_a_two_root_slice(monkeypatch):
+    # in H(3,3) the word (1, 2) inverts alpha_1 and (3, 1), both of grade 1
+    # under tau = (1, -2); no dominant tau does that, so the item is fed in
+    _feed_grid(monkeypatch, [(3, 3, (1, 2), (1, -2), {1: 2})])
+    report = sweeps.run_symprop()
+    assert report.failures == (
+        {"a": 3, "word": [1, 2], "tau": [1, -2], "d": 1, "slice": [[1, 0], [3, 1]]},
+    )
+
+
+def test_permissable_reports_every_problem(monkeypatch):
+    def classify(g, word, tau, d):
+        if word.letters == (1, 2):
+            return rank2.IntersectionVerdict("Single", (simple_root(2, 1),))
+        raise KmjmError("injected")
+
+    _feed_grid(monkeypatch, [
+        (3, 2, (1,), (1, 1), {1: 3}),
+        (3, 2, (1,), (1, 1), {2: 2}),
+        (5, 1, (1, 2), (1, 0), {1: 2}),
+        (5, 1, (2, 1), (1, 0), {1: 2}),
+    ])
+    monkeypatch.setattr(rank2, "classify_intersection", classify)
+    report = sweeps.run_permissable()
+    assert [f["problem"] for f in report.failures] == [
+        "slice has more than two roots",
+        "two-root slice with min(a,b) > 1",
+        "verdict Single for a two-root slice",
+        "classification failed: injected",
+    ]
+
+
+def test_pi_system_problem_names_the_type_and_a_singular_b(monkeypatch):
+    m = ((2, -2), (-2, 2))
+    a1, a2 = simple_root(2, 1), simple_root(2, 2)
+    assert sweeps._pi_system_problem(m, a1, a2) == "induced type is affine"
+    # the induced matrix of the affine pair is singular too; with the type
+    # check passed, that check names it
+    monkeypatch.setattr(sweeps, "classify_pi_type", lambda sigma: TypeTag(FINITE))
+    assert sweeps._pi_system_problem(m, a1, a2) == "induced matrix is singular"
+
+
+def test_affine_heisenberg_reports_its_witnesses(monkeypatch):
+    monkeypatch.setattr(sl2, "solve_mu", lambda b: (1, 1))
+    monkeypatch.setattr(realize.TruncatedAlgebra, "bracket", lambda self, x, y: self.zero())
+    report = run_affine_heisenberg(SweepConfig())
+    assert [f["problem"] for f in report.failures] == [
+        "solve_mu accepted the singular induced matrix",
+        "central witness [e, f_1 + f_2] vanished",
+    ]
