@@ -30,7 +30,6 @@ from .errors import (
     NotSymmetrizable,
     ResourceCap,
     SingularB,
-    TruncationAmbiguous,
     ZeroElement,
 )
 from .gcm import GCM, TypeTag, bilinear_form, classify, norm, validate_gcm
@@ -102,7 +101,6 @@ __all__ = [
     "NotSymmetrizable",
     "ResourceCap",
     "SingularB",
-    "TruncationAmbiguous",
     "ZeroElement",
     "GCM",
     "TypeTag",

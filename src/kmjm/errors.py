@@ -114,9 +114,5 @@ class InternalInconsistency(KmjmError):
     code = "internal_inconsistency"
 
 
-class TruncationAmbiguous(KmjmError):
-    code = "truncation_ambiguous"
-
-
 class NotHyperbolic(KmjmError):
     code = "not_hyperbolic"

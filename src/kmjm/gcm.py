@@ -192,6 +192,9 @@ def classify(g: GCM) -> TypeTag:
 
 def classify_principal(g: GCM, idx_1based: Sequence[int]) -> TypeTag:
     """classify() of the principal submatrix on the given 1-based index set."""
+    for i in idx_1based:
+        if not 1 <= i <= g.n:
+            raise ValueError(f"index {i} out of range 1..{g.n}")
     return _classify(g.entries, {i - 1 for i in idx_1based})
 
 

@@ -76,13 +76,12 @@ coefficients stay in int arithmetic.  A sum may still leave an integral
 Fraction behind; it compares and hashes as the int.  No float ever appears:
 a division always builds a Fraction.
 
-Products of two positive (or two negative) elements whose total height
-exceeds the bound are cut to zero: the truncation is the quotient by the
-ideal of heights above the bound, and every identity holds as long as all
-intermediate degrees stay inside the window.  Mixed brackets never meet the
-cut.  Operations that must distinguish genuine vanishing from the cut
-(exponentials, nilpotency checks) track that and raise TruncationAmbiguous
-instead of guessing.
+The height bound is a window on g(A), not a quotient of it: a bracket of
+two positive (or two negative) elements with a product above the bound raises
+HeightOutOfRange naming that degree, as positive_basis does for a degree
+outside the window.  Every product the window does hold is the one of g(A).
+Mixed brackets never leave the window.  The square of a basis vector is zero
+at any height, so it is never refused.
 """
 
 from __future__ import annotations
@@ -97,7 +96,6 @@ from .errors import (
     InternalInconsistency,
     NotRealRoot,
     ResourceCap,
-    TruncationAmbiguous,
     resolve_cap,
 )
 from .gcm import GCM, norm
@@ -436,14 +434,9 @@ class TruncatedAlgebra:
     # -- brackets ------------------------------------------------------------
 
     def bracket(self, x: AlgElement, y: AlgElement) -> AlgElement:
-        out, _ = self._bracket_checked(x, y)
-        return out
-
-    def _bracket_checked(self, x: AlgElement, y: AlgElement):
         x._same(y)
         if x.alg is not self:
             raise ValueError("elements belong to a different algebra")
-        truncated = False
         acc: dict = {}
         xh, xp, xn = x.split()
         yh, yp, yn = y.split()
@@ -461,9 +454,7 @@ class TruncatedAlgebra:
             for ak, ac in xs.items():
                 for bk, bc in ys.items():
                     coords = self._pp(ak[1], ak[2], bk[1], bk[2])
-                    if coords is None:
-                        truncated = True
-                    elif coords:
+                    if coords:
                         deg = tuple(a + b for a, b in zip(ak[1], bk[1]))
                         _add_scaled(acc, ac * bc, {(kind, deg, k): v for k, v in coords.items()})
         # [p, n] and [n, p] = -[p, n], one homogeneous block of each side at a time
@@ -473,12 +464,12 @@ class TruncatedAlgebra:
                 for da, a in _blocks(ps).items():
                     for db, b in nb.items():
                         _add_scaled(acc, sign, self._mixed(da, a, db, b))
-        return AlgElement(self, acc), truncated
+        return AlgElement(self, acc)
 
     def _pp(self, da, k, db, l):
-        # bracket of two positive basis vectors as coordinates at da + db, or
-        # None when the height bound cuts it (a cut is not memoized); the
-        # square of a basis vector is zero at any height
+        # bracket of two positive basis vectors as coordinates at da + db; a
+        # product above the window raises HeightOutOfRange (and is not
+        # memoized), but the square of a basis vector is zero at any height
         key = (da, k, db, l)
         got = self._pp_cache.get(key)
         if got is not None:
@@ -487,7 +478,12 @@ class TruncatedAlgebra:
         if da == db and k == l:
             res = {}
         elif sum(deg) > self.height:
-            return None
+            raise HeightOutOfRange(
+                f"bracket at degree {list(deg)} is above the window of height {self.height}",
+                degree=list(deg),
+                height=sum(deg),
+                table_height=self.height,
+            )
         elif not self._mult(deg):
             res = {}
         elif sum(da) == 1:
@@ -498,7 +494,7 @@ class TruncatedAlgebra:
             # p_l = [b_m, e_i] for its source (i, m), and [x, [b, e_i]] =
             # [[e_i, x], b] - [e_i, [x, b]], reading ad e_i from the raising
             # matrices at da + alpha_i and at deg: every degree in between
-            # lies below deg, so nothing is cut
+            # lies below deg, so none leaves the window
             top = self._degree(deg).up
             i, m = self._degree(db).source[l]
             dx, dy = _plus(da, i), _minus(db, i)
@@ -663,8 +659,9 @@ def exp_ad(alg: TruncatedAlgebra, x: AlgElement, y: AlgElement, t) -> AlgElement
     """exp(t·ad x) applied to y, summed exactly: Σ_k t^k ad(x)^k(y) / k!.
 
     x must live in a single root space (so its adjoint action shifts degrees
-    uniformly).  If the series reaches the height bound before provably
-    terminating, TruncationAmbiguous is raised.  t is an int or a Fraction.
+    uniformly).  If a term of the series leaves the height window before the
+    series provably terminates, HeightOutOfRange is raised.  t is an int or a
+    Fraction.
     """
     t = _exact(t)
     if x.is_zero() or t == 0:
@@ -677,12 +674,7 @@ def exp_ad(alg: TruncatedAlgebra, x: AlgElement, y: AlgElement, t) -> AlgElement
     k = 1
     limit = 2 * alg.height + 2
     while True:
-        nxt, cut = alg._bracket_checked(x, term)
-        if cut:
-            raise TruncationAmbiguous(
-                "adjoint series reached the height bound before terminating",
-                height=alg.height,
-            )
+        nxt = alg.bracket(x, term)
         if nxt.is_zero():
             return out
         term = (_rational(t, k) if type(t) is int else t / k) * nxt
@@ -697,7 +689,7 @@ def exp_ad(alg: TruncatedAlgebra, x: AlgElement, y: AlgElement, t) -> AlgElement
 class NilpotencyResult(Value):
     """Outcome of one probe: the least N with ad(e)^N(probe) = 0, or None if
     the question could not be settled inside the truncation (reason "window":
-    a bracket hit the height bound; reason "max_n": the step budget ran out
+    a bracket left the height window; reason "max_n": the step budget ran out
     with the iterate still nonzero)."""
 
     __slots__ = ("probe", "degree", "reason")
@@ -730,11 +722,11 @@ def check_locally_nilpotent(
             if cur.is_zero():
                 verdict = NilpotencyResult(idx, n)
                 break
-            nxt, cut = alg._bracket_checked(e, cur)
-            if cut:
+            try:
+                cur = alg.bracket(e, cur)
+            except HeightOutOfRange:
                 verdict = NilpotencyResult(idx, None, "window")
                 break
-            cur = nxt
         if verdict is None:
             verdict = NilpotencyResult(idx, None, "max_n")
         out.append(verdict)
@@ -800,12 +792,14 @@ def real_root_vector(alg: TruncatedAlgebra, beta: RootVec):
                     beta=list(beta.coeffs),
                 )
             memo[root] = [vec.terms, None]
-    except TruncationAmbiguous as exc:
+    except HeightOutOfRange as exc:
         raise HeightOutOfRange(
             "transport to the root needs a taller truncation "
             f"(bound {alg.height} is not enough for {list(beta.coeffs)})",
-            height=alg.height,
             beta=list(beta.coeffs),
+            height=beta.height,
+            table_height=alg.height,
+            degree=exc.context["degree"],
         ) from exc
     entry = memo[beta.coeffs]
     if entry[1] is None:

@@ -46,6 +46,9 @@ MUTANTS = [
     # a breadth-first walk of the diagram names other failing edges
     ("gcm.py", "i = stack.pop()", "i = stack.pop(0)",
      "tests/test_gcm.py::test_walk_verdicts_match_the_recorded_digest"),
+    # a product above the window read as zero instead of refused
+    ("realize.py", "elif sum(deg) > self.height:", "elif False:",
+     "tests/test_realize.py::test_a_product_above_the_window_is_refused"),
 ]
 
 

@@ -12,7 +12,6 @@ from conftest import A2, A2_AFFINE, H3, H51
 from kmjm import (
     Coweight,
     HeightOutOfRange,
-    TruncationAmbiguous,
     WeylWord,
     bilinear_form,
     build_exceptional_triple,
@@ -73,28 +72,35 @@ def test_realization_coefficients_are_never_floats(algebra, matrix, height):
     _assert_exact(half, alg.cartan([Fraction(1, 2)] * n))
 
     # seeded brackets of integer combinations, across positive, negative and
-    # Cartan parts
+    # Cartan parts; a pair whose bracket or iterate leaves the window is
+    # redrawn
     spaces = [[alg.h(i) for i in range(1, n + 1)]]
     spaces += [alg.positive_basis(v) for v in roots]
     spaces += [alg.negative_basis(v) for v in roots]
-    for _ in range(40):
+    checked = 0
+    while checked < 40:
         x, y = (_combination(rng, rng.choice(spaces)) for _ in range(2))
-        _assert_exact(x, y, alg.bracket(x, y), alg.bracket(alg.bracket(x, y), y))
+        try:
+            xy = alg.bracket(x, y)
+            _assert_exact(x, y, xy, alg.bracket(xy, y))
+        except HeightOutOfRange:
+            continue
+        checked += 1
 
     # exponentials, reflection operators and transport; a series that
-    # reaches the height bound is undecided, not wrong
+    # leaves the height window is undecided, not wrong
     for i in range(1, n + 1):
         for y in (alg.e(i), alg.f(i), alg.h(i), _combination(rng, rng.choice(spaces))):
             for x in (alg.e(i), alg.f(i)):
                 for t in (1, -2, Fraction(1, 3)):
                     try:
                         _assert_exact(exp_ad(alg, x, y, t))
-                    except TruncationAmbiguous:
+                    except HeightOutOfRange:
                         pass
             try:
                 _assert_exact(simple_reflection(alg, i, y),
                               simple_reflection(alg, i, y, inverse=True))
-            except TruncationAmbiguous:
+            except HeightOutOfRange:
                 pass
     real = [v for v in roots if norm(g, v) > 0]
     for beta in real:

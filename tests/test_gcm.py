@@ -107,6 +107,15 @@ def test_classify_principal_of_no_index_is_finite():
     assert classify_principal(validate_gcm(H3), []) == TypeTag("finite")
 
 
+def test_classify_principal_checks_its_indices():
+    # a 0 or a negative index must not wrap around to the last rows, and one
+    # past n must not end in a bare IndexError
+    g = validate_gcm([[2, -3, 0], [-3, 2, -1], [0, -1, 2]])
+    for idx, bad in (([-1, 1], -1), ([0], 0), ([4], 4)):
+        with pytest.raises(ValueError, match=rf"index {bad} out of range 1\.\.3"):
+            classify_principal(g, idx)
+
+
 def test_type_questions_take_the_validated_matrix(monkeypatch):
     # a principal submatrix of a GCM is a GCM, so neither question validates
     # one again

@@ -22,7 +22,7 @@ PUBLIC = {
     "NotDominant", "NotGCM", "NotHyperbolic", "NotPiSystem", "NotRealRoot",
     "NotReduced", "NotSymmetrizable", "PiSystem", "Rank2Label",
     "RealizedTriple", "ResourceCap", "RootVec", "SL2Triple", "SUITES", "SingularB",
-    "SuiteReport", "SweepConfig", "TruncatedAlgebra", "TruncationAmbiguous",
+    "SuiteReport", "SweepConfig", "TruncatedAlgebra",
     "TypeTag", "WeylWord", "ZeroElement", "apply_word", "b_seq", "bilinear_form",
     "build_exceptional_triple", "build_triple", "build_truncated",
     "check_finite_grading", "check_interleavings", "check_locally_nilpotent",

@@ -17,7 +17,6 @@ from kmjm import (
     InternalInconsistency,
     NotRealRoot,
     ResourceCap,
-    TruncationAmbiguous,
     build_truncated,
     check_locally_nilpotent,
     companion_vector,
@@ -130,8 +129,9 @@ def test_exp_ad_truncation_boundary():
     # certify termination while a window of five can.
     g = validate_gcm(H3)
     tight = build_truncated(g, 4, mode="fast")
-    with pytest.raises(TruncationAmbiguous):
+    with pytest.raises(HeightOutOfRange) as err:
         exp_ad(tight, tight.e(1), tight.e(2), 1)
+    assert err.value.context["degree"] == [4, 1]
     roomy = build_truncated(g, 5, mode="fast")
     out = exp_ad(roomy, roomy.e(1), roomy.e(2), 1)
     assert not out.is_zero()
@@ -172,10 +172,14 @@ def test_real_root_vector(algebra):
     h3 = algebra(H3, 6)
     with pytest.raises(NotRealRoot):
         real_root_vector(h3, rootvec((1, 1)))  # imaginary
-    # a root that fits the window but whose transport does not
+    # a root that fits the window but whose transport does not; the error
+    # names the window as positive_basis does, and the product that left it
     tight = algebra(H51, 6)
-    with pytest.raises(HeightOutOfRange):
+    with pytest.raises(HeightOutOfRange) as err:
         real_root_vector(tight, rootvec((1, 4)))
+    assert err.value.context == {
+        "beta": [1, 4], "height": 5, "table_height": 6, "degree": [1, 6],
+    }
 
 
 def _transport_uncached(alg, beta):
@@ -191,7 +195,7 @@ def _transport_uncached(alg, beta):
     try:
         for i in reversed(chain):
             vec = simple_reflection(alg, i, vec)
-    except TruncationAmbiguous:
+    except HeightOutOfRange:
         return None
     return vec
 
@@ -271,14 +275,30 @@ def test_check_locally_nilpotent(algebra):
 def test_square_across_the_bound_is_zero_not_a_cut(algebra):
     # [e_1, e_1] would sit at height two, above a window of one, but it is
     # zero at every height: only a product of two different basis vectors
-    # is cut by the bound
+    # is refused by the bound
     alg = algebra(H3, 1)
     e1, e2 = alg.e(1), alg.e(2)
     assert exp_ad(alg, e1, e1, 1) == e1
     res = check_locally_nilpotent(alg, e1, [e1, e2], 3)
     assert [(r.degree, r.reason) for r in res] == [(1, None), (None, "window")]
-    assert alg._bracket_checked(e1, e1) == (alg.zero(), False)
-    assert alg._bracket_checked(e1, e2) == (alg.zero(), True)
+    assert alg.bracket(e1, e1) == alg.zero()
+    with pytest.raises(HeightOutOfRange):
+        alg.bracket(e1, e2)
+
+
+def test_a_product_above_the_window_is_refused(algebra):
+    # positive control: [e1, [e1, e2]] sits at height three, above a window
+    # of two, and is refused rather than read as zero; so is its mirror,
+    # while a mixed bracket of the same heights stays inside the window
+    alg = algebra(H3, 2)
+    e1, e2, f1, f2 = alg.e(1), alg.e(2), alg.f(1), alg.f(2)
+    with pytest.raises(HeightOutOfRange) as err:
+        alg.bracket(e1, alg.bracket(e1, e2))
+    assert err.value.context == {"degree": [2, 1], "height": 3, "table_height": 2}
+    with pytest.raises(HeightOutOfRange):
+        alg.bracket(f1, alg.bracket(f1, f2))
+    mixed = alg.bracket(alg.bracket(e1, e2), alg.bracket(f1, f2))
+    assert not mixed.is_zero() and {k[0] for k in mixed.terms} == {"h"}
 
 
 def test_height_guard(algebra):
