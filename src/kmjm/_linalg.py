@@ -9,6 +9,10 @@ check of the reg-grade suite, and the root spaces, brackets and invariant
 form of the truncated algebra.  Fractions appear only in the coordinates it
 returns.
 
+The package's scalar rule lives here too: a scalar is an int when it is
+integral and a Fraction when it is not.  _rational divides by that rule, and
+_exact checks an outside scalar against it.
+
 leading_principal_minors is Bareiss's fraction-free elimination (Bareiss
 1968) on a square integer matrix: the pivot of step k is the k-th leading
 principal minor, so one pass gives all of them.
@@ -37,6 +41,17 @@ def _rational(num, den):
     # integers, and int arithmetic is far cheaper than Fraction arithmetic
     q, r = divmod(num, den)
     return Fraction(num, den) if r else q
+
+
+def _exact(x):
+    # x as an int when it is integral, else as a Fraction.  A scalar is an int
+    # or a Fraction: a bool is refused, and so is a float, which Fraction()
+    # would read as its binary value (0.1 is not 1/10)
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        raise TypeError(f"a scalar must be an int or a Fraction, got {x!r}")
+    return x.numerator if x.denominator == 1 else x
 
 
 class _Span:

@@ -435,11 +435,11 @@ def _cmd_rank2(args, rc: RunConfig):
     height = _height_of(args, rc, 12)
     alg = truncated_on_demand(g, height, cap=rc.cap)
     if verdict.kind == "Single":
-        coeffs = _fracs_csv(args.coeffs, "--coeffs") if args.coeffs else (Fraction(1),)
+        coeffs = _fracs_csv(args.coeffs, "--coeffs") if args.coeffs else (1,)
         triple = build_triple(make_pi_system(g, [verdict.root]), coeffs)
         realized = realize_triple(triple, alg)
     else:
-        coeffs = _fracs_csv(args.coeffs, "--coeffs") if args.coeffs else (Fraction(1), Fraction(1))
+        coeffs = _fracs_csv(args.coeffs, "--coeffs") if args.coeffs else (1, 1)
         if len(coeffs) != 2:
             raise UsageError("exceptional triples need exactly two --coeffs")
         realized = build_exceptional_triple(g, verdict, coeffs[0], coeffs[1], alg)

@@ -8,11 +8,10 @@ form is integral and bilinear_form returns an int.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from ._linalg import leading_principal_minors
+from ._linalg import _rational, leading_principal_minors
 from .errors import NotGCM, NotSymmetrizable
 from .lattice import RootVec, Value
 
@@ -125,14 +124,14 @@ def _symmetrizer(entries: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     # _components visits each component, checking every edge as it is met,
     # then scale each component to minimal positive integers.
     n = len(entries)
-    d: list[Fraction | None] = [None] * n
+    d = [None] * n
     for comp in _components(entries, range(n)):
-        d[comp[0]] = Fraction(1)
+        d[comp[0]] = 1
         for i in comp:
             for j in range(n):
                 if j == i or entries[i][j] == 0:
                     continue
-                val = d[i] * Fraction(entries[i][j], entries[j][i])
+                val = _rational(d[i] * entries[i][j], entries[j][i])
                 if d[j] is None:
                     d[j] = val
                 elif d[j] != val:
@@ -142,11 +141,11 @@ def _symmetrizer(entries: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
                         j=j + 1,
                     )
         denom = lcm(*[d[k].denominator for k in comp])
-        scaled = [d[k] * denom for k in comp]
-        g = gcd(*[int(x) for x in scaled])
+        scaled = [int(d[k] * denom) for k in comp]  # exact: denom clears d[k]
+        g = gcd(*scaled)
         for k, x in zip(comp, scaled):
-            d[k] = Fraction(int(x) // g)
-    return tuple(int(x) for x in d)
+            d[k] = x // g
+    return tuple(d)
 
 
 def _classify_block(entries: tuple[tuple[int, ...], ...], idx: list[int]) -> str:

@@ -133,14 +133,19 @@ class RootVec(Value):
         return self.sort_key() >= other.sort_key()
 
 
+def _ints(values: Iterable[int], what: str) -> tuple[int, ...]:
+    # the package's integer rule for outside input: only an int is an entry,
+    # and a bool, a float (even an integral one) or a string raises TypeError
+    values = tuple(values)
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise TypeError(f"{what} {v!r} is not an integer")
+    return values
+
+
 def rootvec(coeffs: Iterable[int]) -> RootVec:
-    """A RootVec from any iterable of integers.  Only an int is an entry: a
-    bool, a float (even an integral one) or a string raises TypeError."""
-    coeffs = tuple(coeffs)
-    for c in coeffs:
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise TypeError(f"root coefficient {c!r} is not an integer")
-    return RootVec(coeffs)
+    """A RootVec from any iterable of integers, checked by _ints."""
+    return RootVec(_ints(coeffs, "root coefficient"))
 
 
 def simple_root(n: int, i: int) -> RootVec:
@@ -151,12 +156,13 @@ def simple_root(n: int, i: int) -> RootVec:
 
 
 class Coweight(Value):
-    """Integral coweight tau, stored by its values tau_i = alpha_i(tau)."""
+    """Integral coweight tau, stored by its values tau_i = alpha_i(tau), each
+    an int (checked by _ints)."""
 
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable[int]):
-        self._init(tuple(int(v) for v in values))
+        self._init(_ints(values, "coweight value"))
 
     @property
     def n(self) -> int:
@@ -175,12 +181,13 @@ class Coweight(Value):
 
 
 class WeylWord(Value):
-    """Word in the simple reflections; letters are 1-based indices."""
+    """Word in the simple reflections; letters are 1-based int indices
+    (checked by _ints)."""
 
     __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[int]):
-        self._init(tuple(int(x) for x in letters))
+        self._init(_ints(letters, "word letter"))
 
     def __len__(self):
         return len(self.letters)

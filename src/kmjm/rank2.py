@@ -18,10 +18,10 @@ Only the exceptional repair realizes anything; it imports ``realize`` and
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import islice, pairwise
 from typing import TYPE_CHECKING
 
+from ._linalg import _exact, _rational
 from .errors import InternalInconsistency, NotHyperbolic, ZeroElement
 from .gcm import GCM, validate_gcm
 from .grading import check_finite_grading, phi_w_d
@@ -350,20 +350,20 @@ def classify_intersection(g: GCM, w: WeylWord, tau: Coweight, d: int) -> Interse
 # ---------------------------------------------------------------------------
 # the exceptional repair
 
-def _space_ratio(u, v) -> Fraction:
+def _space_ratio(u, v):
     # u = r*v inside one root space of multiplicity one; anything else is a bug
     if u.is_zero() or v.is_zero():
         raise InternalInconsistency("reflection image of a root vector vanished")
     key = next(iter(v.terms))
     if key not in u.terms:
         raise InternalInconsistency("reflection image missed the expected root space")
-    r = Fraction(u.terms[key], v.terms[key])  # two ints would divide to a float
+    r = _rational(u.terms[key], v.terms[key])
     if u != r * v:
         raise InternalInconsistency("vectors in a 1-dimensional root space are not proportional")
     return r
 
 
-def _singleton_triple(alg: TruncatedAlgebra, beta: RootVec, c: Fraction) -> RealizedTriple:
+def _singleton_triple(alg: TruncatedAlgebra, beta: RootVec, c) -> RealizedTriple:
     # the standard triple on the one-member pi-system {beta}, scaled by c
     from .sl2 import build_triple, realize_triple
 
@@ -377,7 +377,7 @@ def _conjugated_triple(alg, beta, adj, x, y) -> RealizedTriple:
     from .sl2 import RealizedTriple
 
     base = _singleton_triple(alg, beta, x)
-    t = y / x
+    t = _rational(y, x)
     conj = alg.e(adj)
     return RealizedTriple(
         e=exp_ad(alg, conj, base.e, t),
@@ -399,7 +399,7 @@ def build_exceptional_triple(g: GCM, verdict: IntersectionVerdict, x, y,
     may be zero (not both), collapsing to a plain real-root triple.  Each is
     an int or a Fraction; anything else raises TypeError.
     """
-    from .realize import _exact, real_root_vector, simple_reflection
+    from .realize import real_root_vector, simple_reflection
     from .sl2 import RealizedTriple
 
     a, b = ab_of(g)
@@ -407,8 +407,8 @@ def build_exceptional_triple(g: GCM, verdict: IntersectionVerdict, x, y,
         raise ValueError("the algebra was built for a different matrix")
     if not verdict.exceptional:
         raise ValueError(f"verdict {verdict.kind} does not need the exceptional repair")
-    x = Fraction(_exact(x))
-    y = Fraction(_exact(y))
+    x = _exact(x)
+    y = _exact(y)
     if x == 0 and y == 0:
         raise ZeroElement("x = y = 0 does not give a nilpotent to extend")
     lower, upper = sorted(verdict.roots)

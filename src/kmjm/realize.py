@@ -68,29 +68,32 @@ No mixed bracket is memoized.  G_gamma is inverted only where a solve needs
 it: the span of its rows is made through the elimination above on the first
 solve at gamma, and that is where a degenerate form is caught.
 
-Coefficients are integer-first, the convention of _rational in _linalg: a
-coefficient is an int when it is integral and a Fraction only when it is not.
-The generators, the basis vectors, cartan and scalar multiples are built that
-way, and the elimination returns its coordinates that way, so integral
-coefficients stay in int arithmetic.  A sum may still leave an integral
-Fraction behind; it compares and hashes as the int.  No float ever appears:
-a division always builds a Fraction.
+Coefficients are integer-first, the scalar rule of _linalg (_rational and
+_exact): a coefficient is an int when it is integral and a Fraction only
+when it is not.  The generators, the basis vectors, cartan and scalar
+multiples are built that way, and the elimination returns its coordinates
+that way, so integral coefficients stay in int arithmetic.  A sum may still
+leave an integral Fraction behind; it compares and hashes as the int.  No
+float ever appears: a division always builds a Fraction.
 
 The height bound is a window on g(A), not a quotient of it: a bracket of
 two positive (or two negative) elements with a product above the bound raises
 HeightOutOfRange naming that degree, as positive_basis does for a degree
 outside the window.  Every product the window does hold is the one of g(A).
-Mixed brackets never leave the window.  The square of a basis vector is zero
+There is one exception.  The positive part is generated by the e_i (Kac
+§1.3), so when the table misses a height of the window (a finite type whose
+top root lies below the bound), no root lies above the window: a product
+there is exactly zero in g(A), and it is returned as 0.  Mixed brackets
+never leave the window.  The square of a basis vector is zero
 at any height, so it is never refused.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from operator import sub
 
-from ._linalg import _rational, _Span, _span_of
+from ._linalg import _exact, _rational, _Span, _span_of
 from .errors import (
     HeightOutOfRange,
     InternalInconsistency,
@@ -133,17 +136,6 @@ def _key_to_id(key):
     if key[0] == "h":
         return f"h{key[1]}"
     return f"{key[0]}[{','.join(str(c) for c in key[1])}]#{key[2]}"
-
-
-def _exact(x):
-    # x as an int when it is integral, else as a Fraction.  A scalar is an int
-    # or a Fraction: a bool is refused, and so is a float, which Fraction()
-    # would read as its binary value (0.1 is not 1/10)
-    if type(x) is int:
-        return x
-    if not isinstance(x, Fraction):
-        raise TypeError(f"a scalar must be an int or a Fraction, got {x!r}")
-    return x.numerator if x.denominator == 1 else x
 
 
 class AlgElement:
@@ -212,7 +204,7 @@ class AlgElement:
         out = {}
         for k in sorted(self.terms, key=_key_sort):
             v = self.terms[k]
-            out[_key_to_id(k)] = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+            out[_key_to_id(k)] = str(v)
         return out
 
     def __repr__(self):
@@ -296,6 +288,10 @@ class TruncatedAlgebra:
         # dicts, so that the memo holds no element referring back to self
         self._root_vectors: dict = {}
         self._form_unit = lcm(*g.symmetrizer)  # L, with (e_i | f_i) = L / d_i
+        # g+ is generated by the e_i (Kac §1.3), so a table that misses a
+        # height of the window has no root above it: the window holds all of
+        # g(A), and every product above it is exactly zero
+        self._holds_all = len({r.height for r in table.mult}) < height
 
     # -- construction -----------------------------------------------------
 
@@ -469,7 +465,8 @@ class TruncatedAlgebra:
     def _pp(self, da, k, db, l):
         # bracket of two positive basis vectors as coordinates at da + db; a
         # product above the window raises HeightOutOfRange (and is not
-        # memoized), but the square of a basis vector is zero at any height
+        # memoized) unless the window holds all of g(A), but the square of a
+        # basis vector is zero at any height
         key = (da, k, db, l)
         got = self._pp_cache.get(key)
         if got is not None:
@@ -477,7 +474,7 @@ class TruncatedAlgebra:
         deg = tuple(a + b for a, b in zip(da, db))
         if da == db and k == l:
             res = {}
-        elif sum(deg) > self.height:
+        elif sum(deg) > self.height and not self._holds_all:
             raise HeightOutOfRange(
                 f"bracket at degree {list(deg)} is above the window of height {self.height}",
                 degree=list(deg),
@@ -677,7 +674,7 @@ def exp_ad(alg: TruncatedAlgebra, x: AlgElement, y: AlgElement, t) -> AlgElement
         nxt = alg.bracket(x, term)
         if nxt.is_zero():
             return out
-        term = (_rational(t, k) if type(t) is int else t / k) * nxt
+        term = _rational(t, k) * nxt
         out = out + term
         k += 1
         if k > limit:

@@ -13,14 +13,13 @@ window, straight from the graded basis of its root space.
 
 from __future__ import annotations
 
-from ._linalg import _rational, _span_of
+from ._linalg import _exact, _rational, _span_of
 from .errors import HeightOutOfRange, SingularB, ZeroElement
 from .lattice import Value
 from .pisystem import PiSystem
 from .realize import (
     AlgElement,
     TruncatedAlgebra,
-    _exact,
     companion_vector,
     real_root_vector,
 )
@@ -50,7 +49,7 @@ def solve_mu(b_entries) -> tuple:
             b=[list(r) for r in b_entries],
         )
     mu = span.solve(dict.fromkeys(range(m), 2))
-    return tuple(_exact(mu.get(k, 0)) for k in range(m))
+    return tuple(mu.get(k, 0) for k in range(m))
 
 
 class SL2Triple(Value):

@@ -55,14 +55,13 @@ __all__ = [
 
 # The fixed bounds of the sweeps: the length of a random word, the largest
 # coweight value and degree of a random instance, the height its inversions
-# stay within (also the height of rank2-theorem's algebras), and the heights
-# up to which a triple is realized and checked on root data.
+# stay within (also the height of rank2-theorem's algebras), and the height
+# up to which a triple is realized.
 MAX_WORD = 10
 MAX_TAU = 3
 MAX_D = 20
 MAX_ROOT_HEIGHT = 12
 REALIZE_HEIGHT_CUTOFF = 8
-SYMBOLIC_HEIGHT_CUTOFF = 24
 
 
 class SweepConfig(Value):
@@ -73,6 +72,9 @@ class SweepConfig(Value):
     __slots__ = ("seed", "instances", "cap")
 
     def __init__(self, seed: int = 20260819, instances: int = 500, cap: int | None = None):
+        # a sweep over no instance would pass having checked nothing
+        if instances < 1:
+            raise ValueError(f"instances must be >= 1, got {instances}")
         self._init(seed, instances, cap)
 
 
@@ -463,8 +465,6 @@ def run_rank2_theorem(config: SweepConfig = SweepConfig()) -> SuiteReport:
                     continue
                 if verdict.kind != "Single":
                     problem = pair(verdict)
-                elif verdict.root.height > SYMBOLIC_HEIGHT_CUTOFF:
-                    continue  # beyond the verification window at this scale
                 else:
                     problem = single(verdict.root)
                 if problem:

@@ -47,8 +47,18 @@ MUTANTS = [
     ("gcm.py", "i = stack.pop()", "i = stack.pop(0)",
      "tests/test_gcm.py::test_walk_verdicts_match_the_recorded_digest"),
     # a product above the window read as zero instead of refused
-    ("realize.py", "elif sum(deg) > self.height:", "elif False:",
+    ("realize.py", "elif sum(deg) > self.height and not self._holds_all:", "elif False:",
      "tests/test_realize.py::test_a_product_above_the_window_is_refused"),
+    # a window that holds all of a finite type refuses a product above it
+    ("realize.py", "self._holds_all = len({r.height for r in table.mult}) < height",
+     "self._holds_all = False",
+     "tests/test_realize.py::test_a_finite_type_answers_zero_above_a_window_that_holds_it"),
+    # a bool taken as an integer entry
+    ("lattice.py", "if not isinstance(v, int) or isinstance(v, bool):", "if not isinstance(v, int):",
+     "tests/test_values.py::test_rootvec_keeps_its_argument"),
+    # a sweep over no instance passes
+    ("sweeps.py", "if instances < 1:", "if False:",
+     "tests/test_sweeps.py::test_a_config_refuses_an_empty_draw"),
 ]
 
 

@@ -51,8 +51,8 @@ def criterion(num, name, budget=None):
     assert not late, f"time budget exceeded: {elapsed:.2f}s >= {budget}s"
 
 
-def _run_suite(name, expected_cases, digest):
-    report = SUITES[name](SweepConfig())
+def _run_suite(name, expected_cases, digest, config=SweepConfig()):
+    report = SUITES[name](config)
     assert report.cases == expected_cases, (
         f"suite {name} ran {report.cases} cases, expected {expected_cases}"
     )
@@ -60,7 +60,7 @@ def _run_suite(name, expected_cases, digest):
         f"suite {name}: {len(report.failures)} failure(s), "
         f"first: {report.failures[0]}"
     )
-    # the whole report at the default seed, pinned
+    # the whole report at the config's seed, pinned
     got = hashlib.sha256(json.dumps(report.as_dict(), sort_keys=True).encode())
     assert got.hexdigest() == digest, f"suite {name}: the report changed"
 
@@ -124,6 +124,15 @@ def test_criterion_5_random_triples_extend():
             500,
             "ccba43a6936abb05bb08cb027cebd6ad003d6ce4b421335215dd1ec00d0b1ba7",
         )
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("reg-grade", "e22b01def63dc005b10175cefcadd855adb147d81a9be283688b3415416807ce"),
+    ("regdomthm", "d00f4ecedb5063aab0b500f2e1277e3ae2c2db2f5c04c1cafdbbf71c8b4abae4"),
+])
+def test_second_instance_set_is_pinned(name, digest):
+    # the draw of `run_verification.py --seed 7 --instances 200`
+    _run_suite(name, 200, digest, SweepConfig(seed=7, instances=200))
 
 
 def test_criterion_5b_rank2_hyperbolic_triples():

@@ -301,6 +301,28 @@ def test_a_product_above_the_window_is_refused(algebra):
     assert not mixed.is_zero() and {k[0] for k in mixed.terms} == {"h"}
 
 
+def test_a_finite_type_answers_zero_above_a_window_that_holds_it(algebra):
+    # G2's top root, (2, 3) in the orientation [[2,-1],[-3,2]], has height
+    # five.  g+ is generated by the e_i, so a window of six, whose
+    # table has no root at height six, holds all of G2, and [e_(1,2), e_(1,3)]
+    # at degree (2, 5) is exactly 0.  A window of five has a root at every
+    # height, so it cannot tell, and still refuses.
+    g2 = [[2, -1], [-3, 2]]
+    for height, zero in ((6, True), (5, False)):
+        alg = algebra(g2, height)
+        assert alg.dim == 14
+        x, y = (alg.positive_basis(rootvec(r))[0] for r in ((1, 2), (1, 3)))
+        res = check_locally_nilpotent(alg, x, [y], 3)
+        if zero:
+            assert alg.bracket(x, y).is_zero()
+            assert [(r.degree, r.reason) for r in res] == [(1, None)]
+        else:
+            with pytest.raises(HeightOutOfRange) as err:
+                alg.bracket(x, y)
+            assert err.value.context["degree"] == [2, 5]
+            assert [(r.degree, r.reason) for r in res] == [(None, "window")]
+
+
 def test_height_guard(algebra):
     alg = algebra(H3, 6)
     with pytest.raises(HeightOutOfRange):

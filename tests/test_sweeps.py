@@ -58,10 +58,18 @@ def test_instances_are_deterministic():
 def test_sweep_bounds_are_module_constants():
     # a config sets only seed, instances and cap; the other bounds are fixed
     bounds = (sweeps.MAX_WORD, sweeps.MAX_TAU, sweeps.MAX_D, sweeps.MAX_ROOT_HEIGHT,
-              sweeps.REALIZE_HEIGHT_CUTOFF, sweeps.SYMBOLIC_HEIGHT_CUTOFF)
-    assert bounds == (10, 3, 20, 12, 8, 24)
+              sweeps.REALIZE_HEIGHT_CUTOFF)
+    assert bounds == (10, 3, 20, 12, 8)
     with pytest.raises(TypeError):
         SweepConfig(max_word=4)
+
+
+def test_a_config_refuses_an_empty_draw():
+    # a report of 0 cases and no failure would pass having checked nothing
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"instances must be >= 1, got {n}"):
+            SweepConfig(instances=n)
+    assert SweepConfig(instances=1).instances == 1
 
 
 def test_other_seed_changes_instances():
@@ -339,8 +347,6 @@ def _reference_rank2_theorem(config):
                 continue
             if verdict.kind != "Single":
                 problem = pair_problem(matrix, verdict, 1, 1)
-            elif verdict.root.height > sweeps.SYMBOLIC_HEIGHT_CUTOFF:
-                continue
             else:
                 problem = _reference_check_triple(matrix, [verdict.root], None,
                                                   sweeps.MAX_ROOT_HEIGHT, config.cap, algebras)
@@ -494,6 +500,23 @@ def test_rank2_theorem_memo_matches_per_case_loop(monkeypatch):
     pinned = [f for f in fails if "x" in f]
     assert [(f["a"], f["x"], f["y"]) for f in pinned] == [(5, 2, 3)]
     assert fails[-1] == pinned[0]
+
+
+def test_rank2_theorem_checks_every_single_it_counts(monkeypatch):
+    # positive control: a symbolic check failing every root above height 24
+    # fails the 30 counted cases whose single root lies there (11 distinct
+    # roots, up to height 51), so none of them goes unchecked
+    real = sweeps._symbolic_triple
+
+    def symbolic(matrix, roots, coeffs):
+        if max(r.height for r in roots) > 24:
+            return "symbolic relations failed"
+        return real(matrix, roots, coeffs)
+
+    monkeypatch.setattr(sweeps, "_symbolic_triple", symbolic)
+    report = SUITES["rank2-theorem"](SweepConfig())
+    assert report.cases == 2116
+    assert [f["problem"] for f in report.failures] == ["symbolic relations failed"] * 30
 
 
 def test_each_distinct_slice_is_checked_once(monkeypatch):

@@ -156,8 +156,9 @@ def test_value_type_matches_its_dataclass(cls):
 
 
 def test_rootvec_keeps_its_argument():
-    # RootVec takes an int tuple as it is; rootvec() takes outside input, and
-    # only int entries: a bool, a float or a string is refused by name
+    # RootVec takes an int tuple as it is; rootvec(), Coweight and WeylWord
+    # take outside input, and only int entries: a bool, a float or a string
+    # is refused by name
     assert RootVec((True, 0)).coeffs[0] is True
     v = rootvec([1, 0])
     assert v.coeffs == (1, 0) and type(v.coeffs) is tuple
@@ -165,7 +166,11 @@ def test_rootvec_keeps_its_argument():
     for bad in (True, 1.0, "1"):
         with pytest.raises(TypeError, match=re.escape(repr(bad))):
             rootvec([bad, 0])
-    assert Coweight([True, 2]).values == (1, 2) and WeylWord([1, 2]).letters == (1, 2)
+    for bad in (True, 0.5, "1"):
+        for cls in (Coweight, WeylWord):
+            with pytest.raises(TypeError, match=re.escape(repr(bad))):
+                cls([1, bad])
+    assert Coweight([0, 2]).values == (0, 2) and WeylWord([1, 2]).letters == (1, 2)
 
 
 def test_rank2_label_still_validates():
